@@ -31,9 +31,10 @@
 // -audit arms the runtime invariant auditor (packet conservation, pool
 // ownership, residency/energy accounting, queue structure, livelock);
 // violations print to stderr, land in the -json report, and force a
-// non-zero exit. -checkpoint atomically records each completed job;
-// -resume replays a checkpoint so an interrupted sweep continues with a
-// report byte-identical to an uninterrupted one. SIGINT/SIGTERM drain
+// non-zero exit. The -cache directory is also the resume mechanism: each
+// completed job is written durably as it finishes, so rerunning an
+// interrupted sweep with the same -cache continues it with a report
+// byte-identical to an uninterrupted one. SIGINT/SIGTERM drain
 // gracefully (finish in-flight jobs, write a partial report marked
 // interrupted, exit 130).
 //

@@ -20,10 +20,20 @@ func auditQuickCfg(policy Policy, load float64) Config {
 
 // TestAuditResultByteIdentical: auditing is pure observation — the same
 // config produces a byte-identical Result (Events included) with the
-// auditor on or off, for every policy family.
+// auditor on or off, for every policy family. The last input is one
+// star-matrix cell at the recorded-results windows (100/500/100 ms): over
+// that long a window, reading the energy meter at every audit epoch used
+// to split the integral and move the last bits of EnergyJ.
 func TestAuditResultByteIdentical(t *testing.T) {
+	var cfgs []Config
 	for _, pol := range []Policy{Perf, OndIdle, NcapSW, NcapAggr} {
-		cfg := auditQuickCfg(pol, 24_000)
+		cfgs = append(cfgs, auditQuickCfg(pol, 24_000))
+	}
+	full := DefaultConfig(PerfIdle, app.MemcachedProfile(), LoadRPS("memcached", LowLoad))
+	full.Warmup, full.Measure, full.Drain = 100*sim.Millisecond, 500*sim.Millisecond, 100*sim.Millisecond
+	cfgs = append(cfgs, full)
+	for _, cfg := range cfgs {
+		pol := cfg.Policy
 		plain := New(cfg).Run()
 		cfg.Audit = true
 		audited := New(cfg).Run()

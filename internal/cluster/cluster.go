@@ -19,9 +19,10 @@ import (
 	"ncap/internal/workload"
 )
 
-// Network addresses in the four-node topology. Compiled topologies assign
-// addresses sequentially from 1 in group declaration order, which for the
-// explicit star spec reproduces exactly these values.
+// Network addresses in the paper's four-node star. The compiler assigns
+// addresses sequentially from 1 in group declaration order, which for
+// topology.Star gives exactly these values; the bulk sender takes a
+// well-known address outside that range.
 const (
 	ServerAddr      netsim.Addr = 1
 	firstClientAddr netsim.Addr = 2
@@ -29,17 +30,17 @@ const (
 )
 
 // ClientAddr returns the network address of client i (0-based) in the
-// legacy star. Fault specs target nodes by address; this keeps the
-// numbering in one place. Compiled topologies report their addresses
-// through Cluster.Nodes.
+// star. Fault specs target nodes by address; this keeps the numbering in
+// one place. Other topologies report their addresses through
+// Cluster.Nodes.
 func ClientAddr(i int) netsim.Addr { return firstClientAddr + netsim.Addr(i) }
 
 // serverNode bundles one fully modeled server: processor, kernel, NIC,
-// driver, application and per-node governors. The legacy star has exactly
-// one; a compiled topology has one per server in the spec.
+// driver, application and per-node governors, one per server in the
+// topology (the paper's star has exactly one).
 type serverNode struct {
 	addr  netsim.Addr
-	group string // rollup group name ("" on the legacy star)
+	group string // rollup group name
 	label string // RNG-stream and telemetry prefix ("server", "server1", ...)
 	rack  int
 
@@ -62,12 +63,11 @@ type compiledGroup struct {
 }
 
 // Cluster is an assembled experiment: fully modeled server nodes and
-// open-loop client nodes behind a switch fabric (the paper's single
-// store-and-forward switch, or a compiled rack/spine topology).
+// open-loop client nodes behind a compiled switch fabric (the paper's
+// single store-and-forward switch, or a rack/spine topology).
 type Cluster struct {
 	cfg Config
 	eng *sim.Engine
-	sw  *netsim.Switch
 
 	// faultLinks are every link an injector may be attached to; their
 	// fault counters aggregate into the Result. faultLinkNames holds the
@@ -75,10 +75,10 @@ type Cluster struct {
 	faultLinks     []*netsim.Link
 	faultLinkNames []string
 
-	// Fleet state. nodes always holds every server node — on the legacy
-	// star, exactly the one the singular fields below alias. Switch tiers,
-	// trunk links and group rollup indices exist only for compiled
-	// topologies.
+	// Fleet state. nodes holds every server node — on the star, exactly
+	// the one the singular fields below alias. The star has one ToR and
+	// no spines or trunks; group rollup indices feed Result only when
+	// Config.Topology is set.
 	nodes      []*serverNode
 	tors       []*netsim.Switch
 	spines     []*netsim.Switch
@@ -143,8 +143,8 @@ func (d domainState) AtMaxFreq() bool { return d.dom.Target() == d.tab.Max() }
 func (d domainState) AtMinFreq() bool { return d.dom.Target() == d.tab.Min() }
 
 // serverLabel names server node i's RNG stream and telemetry prefix.
-// Node 0 keeps the legacy "server" name so the explicit star spec replays
-// the legacy construction's random streams bit-for-bit.
+// Node 0 keeps the historical "server" name, so star runs replay the
+// random streams of every earlier release bit-for-bit.
 func serverLabel(i int) string {
 	if i == 0 {
 		return "server"
@@ -152,15 +152,15 @@ func serverLabel(i int) string {
 	return "server" + strconv.Itoa(i)
 }
 
-// clientLabel names client node i's RNG stream. Identical to the legacy
-// "client"+digit naming for the paper's three clients.
+// clientLabel names client node i's RNG stream ("client0", "client1",
+// ..., "client12").
 func clientLabel(i int) string { return "client" + strconv.Itoa(i) }
 
 // New assembles a cluster from the config. It panics on an invalid config
-// (construction bug); use Config.Validate to check user input first. A
-// nil Config.Topology builds the paper's 4-node star through the legacy
-// path, byte-identical to historical runs; a non-nil spec is compiled
-// into a rack/spine fabric (see compile.go).
+// (construction bug); use Config.Validate to check user input first.
+// Every shape goes through the topology compiler (see compile.go); a nil
+// Config.Topology compiles topology.Star(Config.Clients), the paper's
+// star.
 func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -170,11 +170,7 @@ func New(cfg Config) *Cluster {
 	if n := cfg.effectiveShards(); n > 1 {
 		c.initShards(n)
 	}
-	if cfg.Topology != nil {
-		c.compile()
-	} else {
-		c.buildStar()
-	}
+	c.compile()
 
 	// Optional tracing (node 0's processor and NIC).
 	if cfg.TraceInterval > 0 {
@@ -191,67 +187,6 @@ func New(cfg Config) *Cluster {
 		c.enableAudit()
 	}
 	return c
-}
-
-// buildStar is the legacy construction path: one server, Config.Clients
-// burst clients and an optional bulk sender behind a single switch.
-// Sharded, the switch and server keep the primary engine and the clients
-// round-robin across the partitions; serially every shard helper is an
-// identity and this is byte-for-byte the historical construction.
-func (c *Cluster) buildStar() {
-	cfg := c.cfg
-	eng := c.eng
-
-	// Network fabric. Fault injectors (perfect fabric: none) attach per
-	// unidirectional link, each with its own random stream keyed by seed
-	// and link name so draws stay independent.
-	c.sw = netsim.NewSwitch(eng, 500*sim.Nanosecond)
-	nicCfg := cfg.NIC
-	if cfg.Queues > 1 {
-		nicCfg.Queues = cfg.Queues
-	}
-
-	// Server node: processor, kernel, NIC, governors, driver, application
-	// and the policy's NCAP embodiment (Table 1). Server 0 and the switch
-	// share shard 0 by construction (shardOf(0) == 0).
-	n := c.addServerNode(eng, "", serverLabel(0), 0, ServerAddr, cfg.Cores, nicCfg, cfg.Driver)
-	c.adoptPrimary(n)
-	c.NIC.SetLink(c.bridge(c.faulted(netsim.NewLink(eng, cfg.Link, c.sw), ServerAddr, fault.FromNode), 0, 0))
-	c.bridge(c.faulted(c.sw.Attach(ServerAddr, cfg.Link, c.NIC), ServerAddr, fault.ToNode), 0, 0)
-
-	// Traffic source: resolve a replayed schedule (explicit trace or
-	// generated scenario) before the clients are built so they come up
-	// in replay mode.
-	c.resolveTraffic()
-
-	// Clients, phase-staggered across the period.
-	period := app.TargetPeriodFor(cfg.LoadRPS, cfg.BurstSize, cfg.Clients)
-	payload := cfg.Workload.RequestPayload()
-	for i := 0; i < cfg.Clients; i++ {
-		addr := firstClientAddr + netsim.Addr(i)
-		sh := c.shardOf(i)
-		ceng := c.shardEng(sh)
-		ccfg := c.clientConfig(period, i, cfg.Clients)
-		cl := app.NewClient(ceng, addr, ServerAddr,
-			c.bridge(c.faulted(netsim.NewLink(ceng, cfg.Link, c.sw), addr, fault.FromNode), sh, 0),
-			payload, ccfg,
-			sim.NewRand(cfg.Seed, "client"+string(rune('0'+i))))
-		cl.Replay = c.replayTrace != nil
-		if cfg.Overload.Enabled() {
-			cl.Budget = cfg.Overload.NewBudget()
-			cl.Breaker = cfg.Overload.NewBreaker()
-		}
-		c.bridge(c.faulted(c.sw.Attach(addr, cfg.Link, cl), addr, fault.ToNode), 0, sh)
-		c.Clients = append(c.Clients, cl)
-	}
-	c.installTraffic()
-
-	// Optional background bulk traffic (rides shard 0 with the switch).
-	if cfg.BulkBps > 0 {
-		c.Bulk = app.NewBulkSender(eng, bulkAddr, ServerAddr,
-			c.bridge(c.faulted(netsim.NewLink(eng, cfg.Link, c.sw), bulkAddr, fault.FromNode), 0, 0),
-			cfg.BulkBps, 1400)
-	}
 }
 
 // faulted registers a link in the fault-injection set (and attaches an
@@ -471,16 +406,13 @@ func (c *Cluster) wakeCounter() func() int64 {
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
 // Switch exposes the network fabric so additional endpoints (bulk
-// sources, alternative client designs) can be attached before Run. On a
-// compiled topology it returns the first top-of-rack switch.
-func (c *Cluster) Switch() *netsim.Switch { return c.sw }
+// sources, alternative client designs) can be attached before Run: the
+// first top-of-rack switch, which on the star is its only switch.
+func (c *Cluster) Switch() *netsim.Switch { return c.tors[0] }
 
-// Switches returns every switch in the fabric: the single star switch on
-// the legacy path, or the ToR tier followed by the spine tier.
+// Switches returns every switch in the fabric: the ToR tier followed by
+// the spine tier.
 func (c *Cluster) Switches() []*netsim.Switch {
-	if len(c.tors) == 0 && len(c.spines) == 0 {
-		return []*netsim.Switch{c.sw}
-	}
 	out := make([]*netsim.Switch, 0, len(c.tors)+len(c.spines))
 	out = append(out, c.tors...)
 	out = append(out, c.spines...)

@@ -12,13 +12,18 @@ import (
 
 // compile is the graph compiler: it turns Config.Topology — a declarative
 // spec of node groups, rack (ToR) switches and an optional ECMP spine
-// tier — into wired simulation components. Addresses are assigned from 1
-// in group declaration order, node by node, which makes the explicit Star
-// spec reproduce the legacy star's addresses (and, with the shared
-// RNG-stream names, its Results) exactly.
+// tier — into wired simulation components. A nil Topology compiles
+// topology.Star(Config.Clients) without storing it in the config, so the
+// config JSON, its cache key and the Result (no group or switch rollups)
+// stay those of the paper's star. Addresses are assigned from 1 in group
+// declaration order, node by node, so the star's server is ServerAddr
+// and its clients are ClientAddr(i).
 func (c *Cluster) compile() {
 	cfg := c.cfg
 	spec := cfg.Topology
+	if spec == nil {
+		spec = topology.Star(cfg.Clients)
+	}
 
 	fwDelay := spec.FwDelay
 	if fwDelay == 0 {
@@ -38,7 +43,6 @@ func (c *Cluster) compile() {
 		sw.SetName("spine" + strconv.Itoa(s))
 		c.spines = append(c.spines, sw)
 	}
-	c.sw = c.tors[0]
 
 	// Trunks: every ToR gets an uplink to every spine (its equal-cost
 	// default routes — cross-rack flows ECMP-hash across them) and every
@@ -165,7 +169,7 @@ func (c *Cluster) compile() {
 	c.adoptPrimary(c.nodes[0])
 
 	// Traffic source resolves before the clients so they come up in
-	// replay mode (same order as the legacy path).
+	// replay mode.
 	c.resolveTraffic()
 
 	// Client nodes, phase-staggered across the shared period by global
@@ -227,6 +231,13 @@ func (c *Cluster) compile() {
 		}
 	}
 	c.installTraffic()
+
+	// Optional background bulk traffic (star only, by Config.Validate;
+	// rides shard 0 with the switch).
+	if cfg.BulkBps > 0 {
+		link := c.bridge(c.faulted(netsim.NewLink(c.eng, cfg.Link, c.tors[0]), bulkAddr, fault.FromNode), 0, 0)
+		c.Bulk = app.NewBulkSender(c.eng, bulkAddr, ServerAddr, link, cfg.BulkBps, 1400)
+	}
 }
 
 // fanout returns the group's eligible server addresses rotated to begin

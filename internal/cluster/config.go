@@ -83,8 +83,8 @@ type Config struct {
 	// Topology selects the cluster shape (see internal/topology): a
 	// declarative graph of node groups, rack (ToR) switches and an
 	// optional ECMP spine tier, compiled by New into wired simulation
-	// components. A nil pointer serializes to nothing and keeps the
-	// legacy construction path, so historical configs keep byte-identical
+	// components. A nil pointer serializes to nothing and compiles
+	// topology.Star(Clients), so historical configs keep byte-identical
 	// cache keys and results; a non-nil spec participates in the runner's
 	// content-keyed cache identity. With a topology set, the scalar
 	// Clients and Cores fields are ignored — the spec carries both — and
@@ -178,7 +178,7 @@ func (c Config) Validate() error {
 		// The background bulk sender is a fixture of the paper's star
 		// (one well-known extra address); a fleet models background load
 		// through its workload scenarios instead.
-		return fmt.Errorf("cluster: BulkBps is a legacy-star option (unset it or drop the topology)")
+		return fmt.Errorf("cluster: BulkBps is a star-only option (unset it or drop the topology)")
 	}
 	switch {
 	case c.LoadRPS <= 0:

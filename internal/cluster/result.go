@@ -100,8 +100,8 @@ type Result struct {
 	QueuePeak        int64        `json:",omitempty"`
 	RecoveryNs       sim.Duration `json:",omitempty"`
 
-	// Topology rollups (compiled topologies only — all empty on the
-	// legacy star, so its serialized Results are byte-identical). Groups
+	// Topology rollups (only with an explicit Config.Topology — all empty
+	// when it is nil, so star Results serialize as they always have). Groups
 	// mirrors the spec's group list; Switches covers the ToR tier then the
 	// spine tier; Unroutable is the fleet-wide count of frames no switch
 	// could route (nonzero = compilation bug, surfaced as a report warning
@@ -301,9 +301,9 @@ func (c *Cluster) collectOverload(res *Result, measureEnd sim.Time) {
 	}
 }
 
-// collectFleet fills the topology rollups after the drain. Only called on
-// compiled topologies: the fields stay empty on the legacy star, so its
-// serialized Results are byte-identical. nodeEnergy holds the per-node
+// collectFleet fills the topology rollups after the drain. Only called
+// with an explicit Config.Topology: the fields stay empty when it is nil,
+// so star Results serialize as they always have. nodeEnergy holds the per-node
 // package energy snapshots taken at the measurement window's end.
 func (c *Cluster) collectFleet(res *Result, nodeEnergy []float64) {
 	cfg := c.cfg
@@ -351,7 +351,7 @@ func (c *Cluster) collectFleet(res *Result, nodeEnergy []float64) {
 }
 
 // totalEnergyJ sums package energy across every server node (a single
-// node on the legacy star).
+// node on the star).
 func (c *Cluster) totalEnergyJ() float64 {
 	var e float64
 	for _, n := range c.nodes {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ncap/internal/app"
+	"ncap/internal/audit"
 	"ncap/internal/sim"
 	"ncap/internal/telemetry"
 	"ncap/internal/topology"
@@ -35,7 +36,7 @@ func assertShardCounts(t *testing.T, cfg Config, counts ...int) {
 	}
 }
 
-// The legacy star, partitioned: server+switch on shard 0, clients
+// The paper's star, partitioned: server+switch on shard 0, clients
 // spread. Every client access link is a boundary, so this exercises the
 // chattiest partitioning.
 func TestShardedEqualityStar(t *testing.T) {
@@ -90,7 +91,13 @@ func TestShardStats(t *testing.T) {
 	cl := New(cfg)
 	cl.Run()
 	st := cl.ShardStats()
-	if st.Shards != 4 || st.Bridged == 0 || st.Rounds == 0 || st.Injected == 0 {
+	if audit.Strict {
+		// The audit build tag arms the auditor on every run, and an
+		// audited run clamps to serial by design.
+		if st.Shards != 1 || st.Rounds != 0 || st.Injected != 0 {
+			t.Fatalf("strict-audit run did not clamp to serial: %+v", st)
+		}
+	} else if st.Shards != 4 || st.Bridged == 0 || st.Rounds == 0 || st.Injected == 0 {
 		t.Fatalf("sharded run did not coordinate: %+v", st)
 	}
 
@@ -105,13 +112,20 @@ func TestShardStats(t *testing.T) {
 // Single-observer execution modes — telemetry, audit, time-series
 // tracing, trace recording — clamp back to serial, as does a zero link
 // latency (no lookahead to synchronize with). The shard count also
-// clamps to the number of partitionable units.
+// clamps to the number of partitionable units. Under the audit build tag
+// every run is audited, so every count clamps to serial.
 func TestEffectiveShardClamps(t *testing.T) {
+	want := func(n int) int {
+		if audit.Strict {
+			return 1
+		}
+		return n
+	}
 	base := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
 	base.Shards = 4
 
-	if got := base.effectiveShards(); got != 4 {
-		t.Fatalf("base effectiveShards = %d, want 4", got)
+	if got := base.effectiveShards(); got != want(4) {
+		t.Fatalf("base effectiveShards = %d, want %d", got, want(4))
 	}
 
 	cases := map[string]func(*Config){
@@ -131,8 +145,8 @@ func TestEffectiveShardClamps(t *testing.T) {
 
 	cfg := base
 	cfg.Shards = 64 // star has 1 server + 3 clients
-	if got := cfg.effectiveShards(); got != 4 {
-		t.Errorf("unit clamp: effectiveShards = %d, want 4", got)
+	if got := cfg.effectiveShards(); got != want(4) {
+		t.Errorf("unit clamp: effectiveShards = %d, want %d", got, want(4))
 	}
 	cfg.Shards = 0
 	if got := cfg.effectiveShards(); got != 1 {

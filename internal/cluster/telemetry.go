@@ -31,8 +31,8 @@ func (c *Cluster) registerTelemetry() {
 	reg.Counter("sim.shards.rounds", func() int64 { return int64(c.ShardStats().Rounds) })
 	reg.Counter("sim.shards.stalls", func() int64 { return int64(c.ShardStats().Stalls) })
 	reg.Counter("sim.shards.injected", func() int64 { return int64(c.ShardStats().Injected) })
-	// Per-node prefixes come from the node label: "server" on the legacy
-	// star (node 0 keeps the historical names), "serverN" beyond it.
+	// Per-node prefixes come from the node label: "server" for node 0
+	// (the historical names), "serverN" beyond it.
 	for _, n := range c.nodes {
 		p := n.label
 		n.Chip.RegisterTelemetry(reg, tr, p+".cpu")

@@ -10,29 +10,32 @@ import (
 	"ncap/internal/topology"
 )
 
-// The compatibility contract behind the topology API: an explicit
-// Star(3) spec compiles to the same simulation the nil-Topology legacy
-// path builds — same addresses, same RNG stream names, same wiring — so
-// the two runs produce equal Results (modulo the rollup fields only
-// compiled topologies populate).
+// The compatibility contract behind the topology API: a nil Topology
+// with Clients = n compiles to the same simulation as an explicit Star(n)
+// spec — same addresses, same RNG stream names, same wiring — so the two
+// runs produce equal Results (modulo the rollup fields only an explicit
+// spec reports). n = 12 covers client indices past one decimal digit.
 func TestStarSpecMatchesLegacy(t *testing.T) {
-	legacy := New(shortConfig(NcapCons, app.ApacheProfile(), 24_000)).Run()
+	for _, n := range []int{3, 12} {
+		cfg := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
+		cfg.Clients = n
+		legacy := New(cfg).Run()
 
-	cfg := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
-	cfg.Topology = topology.Star(3)
-	compiled := New(cfg).Run()
+		cfg.Topology = topology.Star(n)
+		compiled := New(cfg).Run()
 
-	if len(compiled.Groups) != 2 || len(compiled.Switches) != 1 {
-		t.Fatalf("star spec rollups: %d groups, %d switches", len(compiled.Groups), len(compiled.Switches))
-	}
-	if compiled.Unroutable != 0 {
-		t.Fatalf("star spec dropped %d unroutable frames", compiled.Unroutable)
-	}
-	// Strip what only the compiled path reports, then demand exact equality.
-	compiled.Groups, compiled.Switches = nil, nil
-	legacy.Sampler, compiled.Sampler = nil, nil
-	if !reflect.DeepEqual(legacy, compiled) {
-		t.Fatalf("Star(3) diverged from the legacy star:\nlegacy   %+v\ncompiled %+v", legacy, compiled)
+		if len(compiled.Groups) != 2 || len(compiled.Switches) != 1 {
+			t.Fatalf("star spec rollups: %d groups, %d switches", len(compiled.Groups), len(compiled.Switches))
+		}
+		if compiled.Unroutable != 0 {
+			t.Fatalf("star spec dropped %d unroutable frames", compiled.Unroutable)
+		}
+		// Strip what only the compiled path reports, then demand exact equality.
+		compiled.Groups, compiled.Switches = nil, nil
+		legacy.Sampler, compiled.Sampler = nil, nil
+		if !reflect.DeepEqual(legacy, compiled) {
+			t.Fatalf("Star(%d) diverged from the legacy star:\nlegacy   %+v\ncompiled %+v", n, legacy, compiled)
+		}
 	}
 }
 

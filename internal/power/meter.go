@@ -27,10 +27,12 @@ func (e *EnergyMeter) SetPower(now sim.Time, watts float64) {
 	e.watts = watts
 }
 
-// Joules returns the energy accumulated through now.
+// Joules returns the energy accumulated through now. It is a pure read:
+// the integral is split only where the power level changes, so how often
+// observers (the auditor, telemetry gauges) read the meter cannot move the
+// last bits of the total.
 func (e *EnergyMeter) Joules(now sim.Time) float64 {
-	e.accrue(now)
-	return e.joules
+	return e.joules + e.pending(now)
 }
 
 // Watts returns the current power level.
@@ -44,9 +46,14 @@ func (e *EnergyMeter) Reset(now sim.Time) {
 }
 
 func (e *EnergyMeter) accrue(now sim.Time) {
+	e.joules += e.pending(now)
+	e.last = now
+}
+
+// pending is the energy drawn at the current level since the last accrual.
+func (e *EnergyMeter) pending(now sim.Time) float64 {
 	if now < e.last {
 		panic(fmt.Sprintf("power: EnergyMeter time went backwards (%d < %d)", now, e.last))
 	}
-	e.joules += e.watts * (now - e.last).Seconds()
-	e.last = now
+	return e.watts * (now - e.last).Seconds()
 }

@@ -195,8 +195,8 @@ type Run struct {
 	Overload *Overload `json:"overload,omitempty"`
 
 	// Groups and Switches carry the compiled-topology rollups (see
-	// internal/topology); absent on the paper's 4-node star, so legacy
-	// reports stay byte-identical.
+	// internal/topology); absent on the paper's 4-node star (nil
+	// Topology), so its reports stay byte-identical.
 	Groups   []Group  `json:"groups,omitempty"`
 	Switches []Switch `json:"switches,omitempty"`
 

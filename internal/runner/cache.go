@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"ncap/internal/cluster"
 )
+
+// cacheSyncs counts entry writes that completed the full durability path
+// (file fsync, rename, directory fsync), for tests asserting it runs.
+var cacheSyncs atomic.Int64
 
 // cacheEntry is the on-disk representation of one memoized result. The
 // schema version and key are stored redundantly so a corrupted, renamed
@@ -20,9 +25,11 @@ type cacheEntry struct {
 	Config json.RawMessage `json:"config"` // for humans debugging a cache dir
 }
 
-// cache is a content-keyed directory of JSON result files. All methods
-// are safe for concurrent use: distinct keys touch distinct files, and
-// same-key writes go through an atomic temp-file rename.
+// cache is a content-keyed directory of JSON result files, and the
+// runner's only result store: an interrupted sweep resumes by re-running
+// with the same directory. All methods are safe for concurrent use:
+// distinct keys touch distinct files, and same-key writes go through an
+// atomic temp-file rename.
 type cache struct{ dir string }
 
 func openCache(dir string) (*cache, error) {
@@ -61,10 +68,12 @@ func parseCacheEntry(blob []byte, key string) (cluster.Result, bool) {
 	return e.Result, true
 }
 
-// store memoizes a result under key. The write is atomic (temp file +
-// rename) so concurrent sweeps sharing a cache dir never observe a
-// partial entry; failures are returned but safe to ignore — the cache is
-// an accelerator, not a store of record.
+// store memoizes a result under key. The write is atomic and durable:
+// temp file, fsync, rename, fsync of the directory. Rename alone means
+// readers and a process crash see the old entry or the new one, never a
+// torn one; the fsync pair makes the entry survive a machine crash too,
+// so a resumed sweep can trust every entry it finds. Failures are
+// returned but safe to ignore: the job simply runs again next time.
 func (c *cache) store(key, tag string, job Job, res cluster.Result) error {
 	// The sampler holds live time series; Cacheable() excludes tracing
 	// jobs, so this is belt and braces against future result fields.
@@ -84,18 +93,36 @@ func (c *cache) store(key, tag string, job Job, res cluster.Result) error {
 	if err != nil {
 		return fmt.Errorf("runner: cache write: %w", err)
 	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(blob)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.path(key))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("runner: cache write: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+	if err := syncDir(c.dir); err != nil {
 		return fmt.Errorf("runner: cache write: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: cache write: %w", err)
-	}
+	cacheSyncs.Add(1)
 	return nil
+}
+
+// syncDir fsyncs a directory so a just-renamed entry survives a machine
+// crash, not only a process one.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	// Some filesystems reject fsync on directories; treat that as best
+	// effort rather than failing a write that already renamed.
+	_ = d.Sync()
+	return d.Close()
 }
