@@ -85,15 +85,15 @@ func BenchmarkFig4_Correlation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr = experiments.Fig4(o)
 	}
-	s := tr.Result.Sampler
+	rx, util, freq := tr.Result.SeriesByName("bw_rx_bytes_per_s"), tr.Result.SeriesByName("util"), tr.Result.SeriesByName("freq_ghz")
 	printOnce("fig4", func() {
 		fmt.Printf("\n# E3 / Fig.4 — ond.idle correlation trace: %d samples"+
-			" (use cmd/ncaptrace for the CSV)\n", len(s.BWRx.Points))
+			" (use cmd/ncaptrace for the CSV)\n", len(rx.Points))
 		fmt.Printf("  BW(Rx) max %.1f MB/s; mean util %.2f; freq range [%.1f, %.1f] GHz\n",
-			s.BWRx.Max()/1e6, meanOf(s.Util), minOf(s.Freq), s.Freq.Max())
+			rx.Max()/1e6, meanOf(util), minOf(freq), freq.Max())
 	})
-	b.ReportMetric(s.BWRx.Max()/1e6, "bwrx_max_MBps")
-	b.ReportMetric(meanOf(s.Util), "mean_util")
+	b.ReportMetric(rx.Max()/1e6, "bwrx_max_MBps")
+	b.ReportMetric(meanOf(util), "mean_util")
 }
 
 // E4 — Fig. 7: latency versus load and the SLA at the inflexion point.
@@ -155,18 +155,19 @@ func BenchmarkFig8_Snapshot(b *testing.B) {
 	o := experiments.Quick()
 	var ond, ncap experiments.TraceResult
 	for i := 0; i < b.N; i++ {
-		ond, ncap = experiments.Snapshots(o, app.ApacheProfile(), cluster.LowLoad)
+		ond, ncap = experiments.Snapshots(o, app.ApacheProfile(), cluster.LowLoad, 500*sim.Microsecond)
 	}
 	var wakes float64
-	for _, p := range ncap.Result.Sampler.Wakes.Points {
+	for _, p := range ncap.Result.SeriesByName("int_wake").Points {
 		wakes += p.V
 	}
+	ondF, ncapF := ond.Result.SeriesByName("freq_ghz"), ncap.Result.SeriesByName("freq_ghz")
 	printOnce("fig8snap", func() {
 		fmt.Printf("\n# E6 / Fig.8-right — snapshots (CSV via cmd/ncaptrace -snapshot)\n")
 		fmt.Printf("  ond.idle:  freq range [%.1f, %.1f] GHz, p95=%v\n",
-			minOf(ond.Result.Sampler.Freq), ond.Result.Sampler.Freq.Max(), ond.Result.Latency.P95)
+			minOf(ondF), ondF.Max(), ond.Result.Latency.P95)
 		fmt.Printf("  ncap.cons: freq range [%.1f, %.1f] GHz, p95=%v, INT(wake)=%d\n",
-			minOf(ncap.Result.Sampler.Freq), ncap.Result.Sampler.Freq.Max(), ncap.Result.Latency.P95, int(wakes))
+			minOf(ncapF), ncapF.Max(), ncap.Result.Latency.P95, int(wakes))
 	})
 	b.ReportMetric(wakes, "int_wakes")
 }

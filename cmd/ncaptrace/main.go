@@ -25,6 +25,7 @@ import (
 	"ncap/internal/report"
 	"ncap/internal/runner"
 	"ncap/internal/sim"
+	"ncap/internal/stats"
 	wl "ncap/internal/workload"
 )
 
@@ -58,6 +59,9 @@ func main() {
 	defer stopProf()
 	if *lossP < 0 || *lossP > 1 {
 		cliflags.Fatalf(tool, "-loss %v: must be a probability in [0,1]", *lossP)
+	}
+	if *interval <= 0 {
+		cliflags.Fatalf(tool, "-interval %v: must be positive", *interval)
 	}
 	res.Validate(tool)
 	topo.Validate(tool)
@@ -108,11 +112,22 @@ func main() {
 		spec := &wl.Spec{Scenario: sc}
 		mutate = append(mutate, func(c *cluster.Config) { c.Traffic = spec })
 	}
+	if *lossP > 0 {
+		mutate = append(mutate, func(c *cluster.Config) {
+			c.Fault.Links = append(c.Fault.Links, fault.LinkFault{
+				Node: uint32(cluster.ServerAddr),
+				Dir:  fault.Both,
+				Loss: fault.LossBernoulli,
+				P:    *lossP,
+			})
+		})
+	}
 
 	rep := report.New(tool, "trace")
+	every := sim.Duration(interval.Nanoseconds())
 
 	if *snapshot {
-		ond, ncp := experiments.Snapshots(o, prof, lvl, mutate...)
+		ond, ncp := experiments.Snapshots(o, prof, lvl, every, mutate...)
 		writeTrace(ond, fileOrStdout(*out, "ond.idle"))
 		writeTrace(ncp, fileOrStdout(*out, "ncap.cons"))
 		addTrace(rep, ond)
@@ -126,18 +141,7 @@ func main() {
 	if err != nil {
 		cliflags.Fatalf(tool, "%v", err)
 	}
-	if *lossP > 0 {
-		mutate = append(mutate, func(c *cluster.Config) {
-			c.Fault.Links = append(c.Fault.Links, fault.LinkFault{
-				Node: uint32(cluster.ServerAddr),
-				Dir:  fault.Both,
-				Loss: fault.LossBernoulli,
-				P:    *lossP,
-			})
-		})
-	}
-	tr := experiments.Trace(o, policy, prof, cluster.LoadRPS(prof.Name, lvl),
-		sim.Duration(interval.Nanoseconds()), mutate...)
+	tr := experiments.Trace(o, policy, prof, cluster.LoadRPS(prof.Name, lvl), every, mutate...)
 	writeTrace(tr, fileOrStdout(*out, string(policy)))
 	addTrace(rep, tr)
 	writeReport(rep, output.JSON)
@@ -148,7 +152,8 @@ func main() {
 // series name with the policy so a snapshot pair's signals stay distinct.
 func addTrace(rep *report.Report, tr experiments.TraceResult) {
 	rep.Runs = append(rep.Runs, report.FromResult(string(tr.Policy), tr.Result))
-	for _, s := range report.SeriesFromSampler(tr.Result.Sampler) {
+	for _, ts := range tr.Result.Series {
+		s := report.FromTimeSeries(ts)
 		s.Name = string(tr.Policy) + "." + s.Name
 		rep.Series = append(rep.Series, s)
 	}
@@ -169,11 +174,11 @@ func writeTrace(tr experiments.TraceResult, w *os.File) {
 			w.Close()
 		}
 	}()
-	if err := tr.Result.Sampler.WriteCSV(w); err != nil {
+	if err := stats.MultiCSV(w, tr.Result.Series...); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "ncaptrace: %s: %d samples, p95=%v, energy=%.2fJ\n",
-		tr.Policy, len(tr.Result.Sampler.Freq.Points), tr.Result.Latency.P95, tr.Result.EnergyJ)
+		tr.Policy, len(tr.Result.Series[0].Points), tr.Result.Latency.P95, tr.Result.EnergyJ)
 }
 
 func fileOrStdout(prefix, name string) *os.File {

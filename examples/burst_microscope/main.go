@@ -25,33 +25,33 @@ func main() {
 		cfg.Measure = 200 * ncap.Millisecond
 		res := ncap.Run(cfg)
 
-		s := res.Sampler
+		rx, freq, wakes := res.SeriesByName("bw_rx_bytes_per_s"), res.SeriesByName("freq_ghz"), res.SeriesByName("int_wake")
 		fmt.Printf("=== %s  (p95=%v, energy=%.2f J)\n", policy, res.Latency.P95, res.EnergyJ)
 		fmt.Println("time    BW(Rx)                F(GHz)                INT")
 
 		// Find the first pronounced burst and show ±10 ms around it.
-		bwMax := s.BWRx.Max()
+		bwMax := rx.Max()
 		start := 0
-		for i, p := range s.BWRx.Points {
+		for i, p := range rx.Points {
 			if p.V > bwMax/2 && i > 4 {
 				start = i - 4
 				break
 			}
 		}
 		end := start + 40
-		if end > len(s.BWRx.Points) {
-			end = len(s.BWRx.Points)
+		if end > len(rx.Points) {
+			end = len(rx.Points)
 		}
 		fMax := 3.1
 		for i := start; i < end; i++ {
-			bw := s.BWRx.Points[i].V / bwMax
-			f := s.Freq.Points[i].V / fMax
+			bw := rx.Points[i].V / bwMax
+			f := freq.Points[i].V / fMax
 			mark := ""
-			if s.Wakes.Points[i].V > 0 {
-				mark = fmt.Sprintf("INT(wake) x%d", int(s.Wakes.Points[i].V))
+			if wakes.Points[i].V > 0 {
+				mark = fmt.Sprintf("INT(wake) x%d", int(wakes.Points[i].V))
 			}
 			fmt.Printf("%7.1fms %-20s  %-20s  %s\n",
-				s.BWRx.Points[i].T.Millis(), bar(bw, 20), bar(f, 20), mark)
+				rx.Points[i].T.Millis(), bar(bw, 20), bar(f, 20), mark)
 		}
 		fmt.Println()
 	}

@@ -15,7 +15,6 @@ import (
 	"ncap/internal/oskernel"
 	"ncap/internal/power"
 	"ncap/internal/sim"
-	"ncap/internal/trace"
 	"ncap/internal/workload"
 )
 
@@ -98,9 +97,12 @@ type Cluster struct {
 	Clients []*app.Client
 	Bulk    *app.BulkSender
 
-	Ond     *governor.Ondemand
-	Menu    *governor.Menu
-	Sampler *trace.Sampler
+	Ond  *governor.Ondemand
+	Menu *governor.Menu
+
+	// sampler records node 0's time series when Config.TraceInterval is
+	// set (see series.go).
+	sampler *seriesSampler
 
 	// Traffic replay state (see internal/workload): the schedule being
 	// replayed (nil in burst mode), its canonical hash, the live capture
@@ -172,13 +174,8 @@ func New(cfg Config) *Cluster {
 	}
 	c.compile()
 
-	// Optional tracing (node 0's processor and NIC).
-	if cfg.TraceInterval > 0 {
-		c.Sampler = trace.NewSampler(c.Chip, c.NIC, cfg.TraceInterval, c.wakeCounter())
-	}
-
-	// Optional telemetry: registered last, once every component (NCAP
-	// blocks included) is assembled.
+	// Optional telemetry and time-series sampling: registered last, once
+	// every component (NCAP blocks included) is assembled.
 	c.registerTelemetry()
 
 	// Optional invariant auditing; the audit build tag forces it on for
@@ -378,28 +375,6 @@ func (c *Cluster) hooksFor(n *serverNode) driver.PowerHooks {
 		h.OndemandInhibit = n.Ond.Inhibit
 	}
 	return h
-}
-
-// wakeCounter returns the cumulative proactive-transition interrupt count
-// (IT_HIGH boosts plus CIT wakes) for the INT(wake) trace markers (node 0).
-func (c *Cluster) wakeCounter() func() int64 {
-	if c.cfg.Policy.UsesNCAPHardware() {
-		return func() int64 {
-			var n int64
-			for _, q := range c.NIC.Queues() {
-				d := q.Decision()
-				n += d.Highs.Value() + d.Wakes.Value()
-			}
-			return n
-		}
-	}
-	if c.cfg.Policy.UsesNCAPSoftware() {
-		return func() int64 {
-			d := c.Driver.SWDecision()
-			return d.Highs.Value() + d.Wakes.Value()
-		}
-	}
-	return nil
 }
 
 // Engine exposes the simulation engine (examples and tests).

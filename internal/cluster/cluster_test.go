@@ -96,6 +96,11 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("zero measure accepted")
 	}
+	bad = ok
+	bad.TraceInterval = -sim.Millisecond
+	if bad.Validate() == nil {
+		t.Fatal("negative trace interval accepted")
+	}
 }
 
 func TestDefaultBurstSize(t *testing.T) {
@@ -237,16 +242,17 @@ func TestTraceSamplerWired(t *testing.T) {
 	cfg := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
 	cfg.TraceInterval = sim.Millisecond
 	res := New(cfg).Run()
-	if res.Sampler == nil {
-		t.Fatal("sampler missing")
+	freq, bw := res.SeriesByName("freq_ghz"), res.SeriesByName("bw_rx_bytes_per_s")
+	if freq == nil || bw == nil {
+		t.Fatal("series missing")
 	}
-	n := len(res.Sampler.Freq.Points)
+	n := len(freq.Points)
 	if n < 100 {
 		t.Fatalf("trace points = %d, want ~150", n)
 	}
 	// The frequency trace must show both boosted and lowered operation.
 	var sawHigh, sawLow bool
-	for _, p := range res.Sampler.Freq.Points {
+	for _, p := range freq.Points {
 		if p.V > 3.0 {
 			sawHigh = true
 		}
@@ -258,7 +264,6 @@ func TestTraceSamplerWired(t *testing.T) {
 		t.Fatalf("freq trace lacks dynamics (high=%v low=%v)", sawHigh, sawLow)
 	}
 	// BW(Rx) must show bursts: max well above mean.
-	bw := res.Sampler.BWRx
 	var sum float64
 	for _, p := range bw.Points {
 		sum += p.V

@@ -51,7 +51,8 @@ type Config struct {
 	// NaiveNCAP reprograms the templates to match *any* payload — the
 	// context-unaware strawman of Sec. 4.1 (ablation).
 	NaiveNCAP bool
-	// TraceInterval enables time-series sampling when positive.
+	// TraceInterval enables time-series sampling of node 0 when positive
+	// (see Result.Series); 0 disables it.
 	TraceInterval sim.Duration
 	// Queues > 1 enables the Sec. 7 multi-queue NIC extension: RSS steers
 	// flows to per-core queues with their own MSI-X vectors, NAPI
@@ -118,7 +119,8 @@ type Config struct {
 	// not an experiment parameter: the Result is the same (deep-equality
 	// is test-asserted), so it is excluded from the runner's
 	// content-keyed cache identity. Runs that need a single observer —
-	// telemetry, audit, tracing, recording — clamp back to serial.
+	// a telemetry registry (a sink, or a TraceInterval run's private
+	// one), audit, recording — clamp back to serial.
 	Shards int `json:"-"`
 }
 
@@ -193,6 +195,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: bad warmup/measure/drain windows")
 	case c.Shards < 0:
 		return fmt.Errorf("cluster: shards must be >= 0 (0 = serial)")
+	case c.TraceInterval < 0:
+		return fmt.Errorf("cluster: trace interval must be >= 0 (0 = no sampling)")
 	case c.Queues > 1 && c.Policy.UsesNCAPHardware() && !c.PerCoreDVFS:
 		// Sec. 7 pairs multi-queue NCAP with per-core power management:
 		// with a shared chip-wide frequency, an idle queue's IT_LOW

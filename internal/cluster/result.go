@@ -9,7 +9,6 @@ import (
 	"ncap/internal/sim"
 	"ncap/internal/stats"
 	"ncap/internal/topology"
-	"ncap/internal/trace"
 	"ncap/internal/workload"
 )
 
@@ -59,8 +58,13 @@ type Result struct {
 	PStateTransitions           int64
 	GovernorInvocations         int64
 
-	// Sampler holds the time-series trace when enabled.
-	Sampler *trace.Sampler
+	// Series holds node 0's sampled time series when
+	// Config.TraceInterval is set: aligned, one point per interval of the
+	// measurement window, in the ncaptrace CSV column order
+	// (bw_rx_bytes_per_s, bw_tx_bytes_per_s, util, freq_ghz, t_c1, t_c3,
+	// t_c6, int_wake). Plain data for the caller, excluded from
+	// serialization; tracing runs are never cached.
+	Series []*stats.TimeSeries `json:"-"`
 
 	// Traffic accounting (replay/recording runs only, see
 	// internal/workload). TraceHash identifies the replayed or captured
@@ -186,8 +190,8 @@ func (c *Cluster) Run() Result {
 	for _, cl := range c.Clients {
 		cl.BeginMeasurement()
 	}
-	if c.Sampler != nil {
-		c.Sampler.Start()
+	if c.sampler != nil {
+		c.sampler.start()
 	}
 	if c.aud != nil {
 		c.auditBoundary()
@@ -216,8 +220,9 @@ func (c *Cluster) Run() Result {
 	if c.Bulk != nil {
 		c.Bulk.Stop()
 	}
-	if c.Sampler != nil {
-		c.Sampler.Stop()
+	if c.sampler != nil {
+		c.sampler.ticker.Stop()
+		res.Series = c.sampler.series
 	}
 	c.advance(measureEnd + cfg.Drain)
 	c.mergeClientStats(&res)
@@ -403,7 +408,6 @@ func (c *Cluster) collect(energyJ float64) Result {
 		Retransmits: retrans, Abandoned: abandoned,
 		CResidency: map[power.CState]sim.Duration{},
 		CEntries:   map[power.CState]int{},
-		Sampler:    c.Sampler,
 		Events:     events,
 	}
 	for _, n := range c.nodes {
@@ -452,6 +456,16 @@ func (c *Cluster) collect(energyJ float64) Result {
 		res.SendLagTotal = lag.Total
 	}
 	return res
+}
+
+// SeriesByName returns the named time series (see Series), or nil.
+func (r Result) SeriesByName(name string) *stats.TimeSeries {
+	for _, s := range r.Series {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
 }
 
 // WriteRow prints the result as a fixed-width table row.

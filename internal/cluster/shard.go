@@ -223,8 +223,9 @@ func (s *shardSet) Advance(until sim.Time) {
 
 // effectiveShards resolves the partition count a config actually runs
 // with. Serial (1) whenever sharding is off, the run needs a single
-// observer (telemetry, audit, time-series tracing, trace recording — all
-// read cross-node state from one goroutine), or a zero link latency
+// observer (a telemetry registry — the sink's, or the private one a
+// TraceInterval run samples — audit, trace recording: all read
+// cross-node state from one goroutine), or a zero link latency
 // leaves no lookahead to synchronize with. The count is also clamped to
 // the number of partitionable units so surplus shards do not spin empty
 // engines through every barrier.

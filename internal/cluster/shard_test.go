@@ -14,13 +14,10 @@ import (
 	wl "ncap/internal/workload"
 )
 
-// runSharded executes cfg at the given shard count and returns the
-// Result with the (pointer-valued, execution-local) Sampler stripped.
+// runSharded executes cfg at the given shard count.
 func runSharded(cfg Config, shards int) Result {
 	cfg.Shards = shards
-	res := New(cfg).Run()
-	res.Sampler = nil
-	return res
+	return New(cfg).Run()
 }
 
 // assertShardCounts runs cfg at every shard count and demands each

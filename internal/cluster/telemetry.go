@@ -12,16 +12,21 @@ import (
 func (c *Cluster) Telemetry() *telemetry.Telemetry { return c.cfg.Telemetry }
 
 // registerTelemetry wires every component's metrics and event trace into
-// the config's sink under stable dotted prefixes. Each cluster needs its
-// own Telemetry instance — registering two clusters into one sink panics
-// on the duplicate names, by design. A nil sink makes this a no-op: the
+// the config's sink under stable dotted prefixes, then builds the
+// time-series sampler over that registry when Config.TraceInterval is
+// set. A trace run without a sink registers into a private registry with
+// no event trace. Each cluster needs its own Telemetry instance —
+// registering two clusters into one sink panics on the duplicate names,
+// by design. With neither a sink nor an interval this is a no-op: the
 // components keep nil handles and every instrumentation call vanishes.
 func (c *Cluster) registerTelemetry() {
-	tel := c.cfg.Telemetry
-	if !tel.Enabled() {
-		return
+	reg, tr := c.cfg.Telemetry.Registry(), c.cfg.Telemetry.Trace()
+	if reg == nil {
+		if c.cfg.TraceInterval <= 0 {
+			return
+		}
+		reg = telemetry.NewRegistry()
 	}
-	reg, tr := tel.Registry(), tel.Trace()
 	// Sharded-execution counters (read lazily, so an export after Run sees
 	// the final sync totals). A telemetry run clamps to serial execution —
 	// the sink is a single-engine observer — so today these record the
@@ -57,5 +62,8 @@ func (c *Cluster) registerTelemetry() {
 	for i, l := range c.trunks {
 		name := strings.ReplaceAll(c.trunkNames[i], "/", ".")
 		l.RegisterTelemetry(reg, tr, "trunk."+name)
+	}
+	if c.cfg.TraceInterval > 0 {
+		c.sampler = newSeriesSampler(c.eng, reg, c.cfg.TraceInterval)
 	}
 }

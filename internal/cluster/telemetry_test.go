@@ -20,15 +20,23 @@ func telemetryConfig() Config {
 
 // Telemetry is pure observation: attaching a sink must not change the
 // Result in any field — same event count, same latencies, same energy.
+// A traced run samples the sink's registry, or a private one without a
+// sink, and the series must not depend on which.
 func TestTelemetryDoesNotPerturbResult(t *testing.T) {
-	plain := New(telemetryConfig()).Run()
+	for _, interval := range []sim.Duration{0, sim.Millisecond} {
+		cfg := telemetryConfig()
+		cfg.TraceInterval = interval
+		plain := New(cfg).Run()
 
-	cfg := telemetryConfig()
-	cfg.Telemetry = telemetry.New(telemetry.Options{})
-	observed := New(cfg).Run()
+		cfg.Telemetry = telemetry.New(telemetry.Options{})
+		observed := New(cfg).Run()
 
-	if !reflect.DeepEqual(plain, observed) {
-		t.Fatalf("telemetry perturbed the simulation:\noff: %+v\non:  %+v", plain, observed)
+		if !reflect.DeepEqual(plain, observed) {
+			t.Fatalf("telemetry perturbed the simulation (trace interval %v):\noff: %+v\non:  %+v", interval, plain, observed)
+		}
+		if (interval > 0) != (len(plain.Series) == 8) {
+			t.Fatalf("trace interval %v gave %d series", interval, len(plain.Series))
+		}
 	}
 }
 
@@ -50,6 +58,7 @@ func TestTelemetryRegistryNames(t *testing.T) {
 		"server.cpu.freq_mhz",
 		"server.cpu.energy_j",
 		"server.cpu.core0.busy_ns",
+		"server.cpu.core3.freq_mhz",
 		"server.cpu.core0.cstate.c6.residency_ns",
 		"server.kernel.hardirqs",
 		"server.nic.rx.packets",
@@ -92,5 +101,20 @@ func TestTelemetryRegistryNames(t *testing.T) {
 	}
 	if !strings.HasPrefix(telemetry.EventsSchema, "ncap-events-") {
 		t.Fatalf("events schema %q not versioned", telemetry.EventsSchema)
+	}
+
+	// The software decision engine's CIT wakes are observable like the
+	// NIC's per-queue ones. Short ncap.sw runs rarely take one, so the
+	// check adds some to the live counter.
+	cfg = telemetryConfig()
+	cfg.Policy = NcapSW
+	tel = telemetry.New(telemetry.Options{})
+	cfg.Telemetry = tel
+	cl := New(cfg)
+	cl.Run()
+	cl.Driver.SWDecision().Wakes.Add(3)
+	sel := tel.Registry().Resolve("server.driver.sw.wakes")
+	if want := cl.Driver.SWDecision().Wakes.Value(); len(sel) != 1 || sel.Sum() != float64(want) {
+		t.Fatalf("server.driver.sw.wakes: %d matches summing %v, want one reading %d", len(sel), sel.Sum(), want)
 	}
 }

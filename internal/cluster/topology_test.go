@@ -32,7 +32,6 @@ func TestStarSpecMatchesLegacy(t *testing.T) {
 		}
 		// Strip what only the compiled path reports, then demand exact equality.
 		compiled.Groups, compiled.Switches = nil, nil
-		legacy.Sampler, compiled.Sampler = nil, nil
 		if !reflect.DeepEqual(legacy, compiled) {
 			t.Fatalf("Star(%d) diverged from the legacy star:\nlegacy   %+v\ncompiled %+v", n, legacy, compiled)
 		}
@@ -71,11 +70,7 @@ func fleetConfig(p Policy, prof app.Profile, perServer float64) Config {
 // A compiled fleet is as deterministic as the star: same config, same
 // Result, field for field.
 func TestFleetDeterminism(t *testing.T) {
-	run := func() Result {
-		res := New(fleetConfig(NcapAggr, app.MemcachedProfile(), 35_000)).Run()
-		res.Sampler = nil
-		return res
-	}
+	run := func() Result { return New(fleetConfig(NcapAggr, app.MemcachedProfile(), 35_000)).Run() }
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same fleet config diverged:\n%+v\n%+v", a, b)

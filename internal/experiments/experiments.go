@@ -211,9 +211,9 @@ type TraceResult struct {
 }
 
 // Trace runs one policy at the given load with time-series sampling at
-// interval and returns the result (Result.Sampler holds the series).
+// interval and returns the result (Result.Series holds the series).
 // Extra mutators (a fault spec, say) apply after the interval is set.
-// Trace-sampling runs bypass the result cache: their value is the live
+// Trace-sampling runs bypass the result cache: their value is the sampled
 // time series, which the cache does not serialize.
 func Trace(o Options, policy cluster.Policy, prof app.Profile, load float64, interval sim.Duration, mutate ...func(*cluster.Config)) TraceResult {
 	res := run(o, policy, prof, load, func(c *cluster.Config) {
@@ -233,12 +233,12 @@ func Fig4(o Options) TraceResult {
 }
 
 // Snapshots reproduces the Fig. 8/9 right panels: BW(Rx)-vs-F traces for
-// ond.idle and ncap.cons over the same workload and load, run as one
-// two-job batch.
-func Snapshots(o Options, prof app.Profile, lvl cluster.LoadLevel, mutate ...func(*cluster.Config)) (ondIdle, ncapCons TraceResult) {
+// ond.idle and ncap.cons over the same workload and load, sampled every
+// interval (the paper's is 500 µs) and run as one two-job batch.
+func Snapshots(o Options, prof app.Profile, lvl cluster.LoadLevel, interval sim.Duration, mutate ...func(*cluster.Config)) (ondIdle, ncapCons TraceResult) {
 	load := cluster.LoadRPS(prof.Name, lvl)
 	trace := func(c *cluster.Config) {
-		c.TraceInterval = 500 * sim.Microsecond
+		c.TraceInterval = interval
 		for _, m := range mutate {
 			m(c)
 		}

@@ -63,17 +63,13 @@ func TestFig2SweepShape(t *testing.T) {
 
 func TestFig4TraceHasCorrelatedSignals(t *testing.T) {
 	tr := Fig4(tiny())
-	s := tr.Result.Sampler
-	if s == nil {
-		t.Fatal("no sampler")
-	}
-	if len(s.BWRx.Points) == 0 || len(s.Util.Points) != len(s.BWRx.Points) {
+	rx, util := tr.Result.SeriesByName("bw_rx_bytes_per_s"), tr.Result.SeriesByName("util")
+	if rx == nil || util == nil || len(rx.Points) == 0 || len(util.Points) != len(rx.Points) {
 		t.Fatal("series missing or misaligned")
 	}
 	// The correlation the paper demonstrates is lagged: "the surge of U
 	// shortly after that of BW(Rx)" (Sec. 3). Compare utilization in the
 	// ~3 ms after an rx spike against utilization far from any spike.
-	rx := s.BWRx
 	max := rx.Max()
 	const lag = 6 // 6 × 500 µs samples
 	nearSpike := make([]bool, len(rx.Points))
@@ -88,10 +84,10 @@ func TestFig4TraceHasCorrelatedSignals(t *testing.T) {
 	var nb, nq int
 	for i := range rx.Points {
 		if nearSpike[i] {
-			busyU += s.Util.Points[i].V
+			busyU += util.Points[i].V
 			nb++
 		} else {
-			quietU += s.Util.Points[i].V
+			quietU += util.Points[i].V
 			nq++
 		}
 	}
@@ -268,19 +264,20 @@ func TestAblationFCONS(t *testing.T) {
 }
 
 func TestTraceSnapshotsProduceBothPolicies(t *testing.T) {
-	ond, ncap := Snapshots(tiny(), app.ApacheProfile(), cluster.LowLoad)
+	ond, ncap := Snapshots(tiny(), app.ApacheProfile(), cluster.LowLoad, 500*sim.Microsecond)
 	if ond.Policy != cluster.OndIdle || ncap.Policy != cluster.NcapCons {
 		t.Fatal("policy labels wrong")
 	}
-	if ond.Result.Sampler == nil || ncap.Result.Sampler == nil {
-		t.Fatal("samplers missing")
+	ondW, ncapW := ond.Result.SeriesByName("int_wake"), ncap.Result.SeriesByName("int_wake")
+	if ondW == nil || ncapW == nil {
+		t.Fatal("wake series missing")
 	}
 	// NCAP's trace must include wake-interrupt markers; ond.idle's must not.
 	var ncapWakes, ondWakes float64
-	for _, p := range ncap.Result.Sampler.Wakes.Points {
+	for _, p := range ncapW.Points {
 		ncapWakes += p.V
 	}
-	for _, p := range ond.Result.Sampler.Wakes.Points {
+	for _, p := range ondW.Points {
 		ondWakes += p.V
 	}
 	if ncapWakes == 0 {

@@ -25,7 +25,6 @@ import (
 	"ncap/internal/sim"
 	"ncap/internal/stats"
 	"ncap/internal/telemetry"
-	"ncap/internal/trace"
 )
 
 // Schema identifies the report document format. Bump on any change to
@@ -232,11 +231,11 @@ func fromSummary(s stats.Summary) Latency {
 // FromResult wraps one cluster.Result as a report Run.
 func FromResult(tag string, r cluster.Result) Run {
 	run := Run{
-		Tag:      tag,
-		Policy:   string(r.Policy),
-		Workload: r.Workload,
-		LoadRPS:  r.LoadRPS,
-		Latency:  fromSummary(r.Latency),
+		Tag:                 tag,
+		Policy:              string(r.Policy),
+		Workload:            r.Workload,
+		LoadRPS:             r.LoadRPS,
+		Latency:             fromSummary(r.Latency),
 		EnergyJ:             r.EnergyJ,
 		AvgPowerW:           r.AvgPowerW,
 		ServedRPS:           r.ServedRPS,
@@ -383,11 +382,6 @@ func (r *Report) AddTelemetry(tel *telemetry.Telemetry) {
 	}
 	r.Metrics = append(r.Metrics, tel.Registry().Export()...)
 	r.Events = SummarizeEvents(tel.Trace())
-}
-
-// AddSampler attaches a trace sampler's time series. Nil is a no-op.
-func (r *Report) AddSampler(s *trace.Sampler) {
-	r.Series = append(r.Series, SeriesFromSampler(s)...)
 }
 
 // WriteRow prints the run as a fixed-width table row, byte-identical to

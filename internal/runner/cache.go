@@ -75,9 +75,6 @@ func parseCacheEntry(blob []byte, key string) (cluster.Result, bool) {
 // so a resumed sweep can trust every entry it finds. Failures are
 // returned but safe to ignore: the job simply runs again next time.
 func (c *cache) store(key, tag string, job Job, res cluster.Result) error {
-	// The sampler holds live time series; Cacheable() excludes tracing
-	// jobs, so this is belt and braces against future result fields.
-	res.Sampler = nil
 	cfgBlob, _ := json.Marshal(job.Config)
 	blob, err := json.MarshalIndent(cacheEntry{
 		Schema: schemaVersion,

@@ -160,8 +160,8 @@ func TestTraceJobsBypassCache(t *testing.T) {
 		if o.CacheHit {
 			t.Fatal("trace job hit the cache")
 		}
-		if o.Result.Sampler == nil {
-			t.Fatal("trace job lost its sampler")
+		if len(o.Result.Series) == 0 {
+			t.Fatal("trace job lost its series")
 		}
 	}
 	entries, err := os.ReadDir(dir)

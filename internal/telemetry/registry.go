@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"path"
 	"sort"
 	"strings"
 
@@ -94,6 +95,46 @@ func (r *Registry) Len() int {
 		return 0
 	}
 	return len(r.metrics)
+}
+
+// Selection is a set of observable metrics resolved once by Resolve, so
+// a periodic reader pays no name lookup per read.
+type Selection []func() float64
+
+// Sum returns the matched metrics' current values added in name order.
+func (s Selection) Sum() float64 {
+	var sum float64
+	for _, observe := range s {
+		sum += observe()
+	}
+	return sum
+}
+
+// Resolve returns the counters, gauges and meters whose names match
+// pattern — a plain name or a path.Match glob such as
+// "server.cpu.core*.busy_ns" — in name order; len of the result is the
+// match count. Histograms are not observable and never match. A pattern
+// that matches nothing, or a nil registry, yields an empty Selection
+// whose Sum is 0. It panics on a malformed pattern (a caller bug).
+func (r *Registry) Resolve(pattern string) Selection {
+	if r == nil {
+		return nil
+	}
+	if _, err := path.Match(pattern, ""); err != nil {
+		panic(fmt.Sprintf("telemetry: bad pattern %q: %v", pattern, err))
+	}
+	var names []string
+	for name, m := range r.metrics {
+		if ok, _ := path.Match(pattern, name); ok && m.observe != nil {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	sel := make(Selection, len(names))
+	for i, name := range names {
+		sel[i] = r.metrics[name].observe
+	}
+	return sel
 }
 
 // Sample is one exported metric value. Exactly one of Value (counter,

@@ -84,6 +84,42 @@ func TestRegistryRejectsDuplicatesAndBadNames(t *testing.T) {
 	}
 }
 
+func TestRegistryResolve(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("srv.core0.busy", func() int64 { return 2 })
+	r.Meter("srv.core1.busy", func() sim.Duration { return 5 })
+	r.Gauge("srv.core1.freq", func() float64 { return 7 })
+	r.Histogram("srv.core2.busy")
+	r.Counter("srv1.core0.busy", func() int64 { return 100 })
+
+	for _, c := range []struct {
+		pattern string
+		n       int
+		sum     float64
+	}{
+		{"srv.core*.busy", 2, 7}, // histograms never match
+		{"srv.core1.freq", 1, 7},
+		{"srv.nic.q*.wakes", 0, 0},
+		{"srv*.core0.busy", 2, 102},
+	} {
+		sel := r.Resolve(c.pattern)
+		if len(sel) != c.n || sel.Sum() != c.sum {
+			t.Errorf("Resolve(%q): %d matches summing %v, want %d summing %v",
+				c.pattern, len(sel), sel.Sum(), c.n, c.sum)
+		}
+	}
+	var nilReg *Registry
+	if sel := nilReg.Resolve("x"); len(sel) != 0 || sel.Sum() != 0 {
+		t.Fatal("nil registry resolved metrics")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("malformed pattern accepted")
+		}
+	}()
+	r.Resolve("srv.[")
+}
+
 func TestHistogramBucketsAndSnapshot(t *testing.T) {
 	h := NewRegistry().Histogram("lat")
 	h.Record(0)
