@@ -532,14 +532,19 @@ type maxFreqStub struct{}
 func (maxFreqStub) AtMaxFreq() bool { return false }
 func (maxFreqStub) AtMinFreq() bool { return false }
 
+// BenchmarkFullSystemSimSecond is the wall-clock cost of simulating the
+// ncap.cons Apache server at low load. CI gates its allocs/op with the
+// hot-path benchmarks: the request path is allocation-free, so allocs/op
+// stays below the reqs/op it reports (lazy pool growth and Result
+// assembly only).
 func BenchmarkFullSystemSimSecond(b *testing.B) {
-	// Wall-clock cost of simulating the ncap.cons Apache server at low
-	// load; the metric is simulated-vs-wall time.
 	o := experiments.Quick()
+	var res cluster.Result
 	for i := 0; i < b.N; i++ {
 		cfg := quickCfg(o, cluster.NcapCons, app.ApacheProfile(), 24_000)
-		cluster.New(cfg).Run()
+		res = cluster.New(cfg).Run()
 	}
+	b.ReportMetric(float64(res.Completed), "reqs/op")
 }
 
 // BenchmarkShardedFleet measures in-run parallelism: the 64-server,

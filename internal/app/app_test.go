@@ -87,7 +87,7 @@ func TestDiskConcurrencyAndQueueing(t *testing.T) {
 	d := NewDisk(eng, rng, sim.Millisecond, 2)
 	done := 0
 	for i := 0; i < 6; i++ {
-		d.Read(func() { done++ })
+		d.Read(cpu.RunFunc, func() { done++ }, nil)
 	}
 	if d.Inflight() != 2 || d.Queued() != 4 {
 		t.Fatalf("inflight=%d queued=%d, want 2/4", d.Inflight(), d.Queued())
@@ -114,14 +114,14 @@ func TestDiskMeanServiceTime(t *testing.T) {
 	remaining := n
 	var issue func()
 	issue = func() {
-		d.Read(func() {
+		d.Read(cpu.RunFunc, func() {
 			total += eng.Now() - last
 			last = eng.Now()
 			remaining--
 			if remaining > 0 {
 				issue()
 			}
-		})
+		}, nil)
 	}
 	issue()
 	eng.Run(time100s())

@@ -54,15 +54,19 @@ func DefaultClientConfig() ClientConfig {
 	}
 }
 
-// pendingReq tracks one outstanding request.
+// pendingReq tracks one outstanding request. The client owns it from the
+// first transmission until the request completes or fails, then recycles
+// it; its RTO/deadline expiry is a plain engine event whose Handle is
+// canceled on completion, so a recycled record is never fired at.
 type pendingReq struct {
+	id       uint64
 	sent     sim.Time    // scheduled first transmission (latency is measured from here)
 	dst      netsim.Addr // destination server (retransmissions reuse it)
 	deadline sim.Time    // absolute completion deadline (zero = none)
-	got      uint64   // bitmask of distinct response segments received
-	need     int      // segments expected (learned from the first segment)
+	got      uint64      // bitmask of distinct response segments received
+	need     int         // segments expected (learned from the first segment)
 	retries  int
-	timer    *sim.Timer
+	timer    sim.Handle // pending RTO/deadline expiry
 	// payload and respHint override the client's defaults for replayed
 	// requests (per-record sizes); retransmissions reuse them so a
 	// resend is byte-identical to the original.
@@ -85,6 +89,7 @@ type Client struct {
 
 	nextSeq     uint64
 	pending     map[uint64]*pendingReq
+	free        sim.FreeList[pendingReq]
 	lat         *stats.LatencyRecorder
 	latHist     *telemetry.Histogram // live RTT distribution (nil when telemetry off)
 	measureFrom sim.Time
@@ -256,17 +261,32 @@ func (c *Client) sendNew() {
 	if c.OnSend != nil {
 		c.OnSend(c.eng.Now(), 0, len(c.payload), 0, "")
 	}
+	pr := c.newPending(c.eng.Now())
+	c.Sent.Inc()
+	c.Budget.Earn()
+	c.transmit(pr)
+}
+
+// newPending registers the next request, first sent at sent, under a
+// recycled record.
+func (c *Client) newPending(sent sim.Time) *pendingReq {
+	pr := c.free.Get()
 	seq := c.nextSeq
 	c.nextSeq++
-	id := uint64(c.addr)<<40 | seq
-	pr := &pendingReq{sent: c.eng.Now(), dst: c.dest(seq)}
+	pr.id = uint64(c.addr)<<40 | seq
+	pr.sent, pr.dst = sent, c.dest(seq)
 	if c.cfg.Deadline > 0 {
 		pr.deadline = c.eng.Now() + c.cfg.Deadline
 	}
-	c.pending[id] = pr
-	c.Sent.Inc()
-	c.Budget.Earn()
-	c.transmit(id, pr)
+	c.pending[pr.id] = pr
+	return pr
+}
+
+// retire forgets a finished request and recycles its record.
+func (c *Client) retire(pr *pendingReq) {
+	delete(c.pending, pr.id)
+	*pr = pendingReq{}
+	c.free.Put(pr)
 }
 
 // dest returns the seq-th request's destination: the fixed server, or
@@ -314,20 +334,14 @@ func (c *Client) replaySend(it *ReplayItem) {
 		c.BreakerDropped.Inc()
 		return
 	}
-	seq := c.nextSeq
-	c.nextSeq++
-	id := uint64(c.addr)<<40 | seq
-	pr := &pendingReq{sent: it.Sched, dst: c.dest(seq), respHint: it.RespHint}
-	if c.cfg.Deadline > 0 {
-		pr.deadline = c.eng.Now() + c.cfg.Deadline
-	}
+	pr := c.newPending(it.Sched)
+	pr.respHint = it.RespHint
 	if it.ReqBytes != len(c.payload) {
 		pr.payload = c.sizedPayload(&c.reqPayloads, it.ReqBytes, "")
 	}
-	c.pending[id] = pr
 	c.Sent.Inc()
 	c.Budget.Earn()
-	c.transmit(id, pr)
+	c.transmit(pr)
 }
 
 // sizedPayload returns a shared payload of the given size from the
@@ -353,12 +367,12 @@ func (c *Client) sizedPayload(cache *map[int][]byte, n int, prefix string) []byt
 	return b
 }
 
-func (c *Client) transmit(id uint64, pr *pendingReq) {
+func (c *Client) transmit(pr *pendingReq) {
 	payload := pr.payload
 	if payload == nil {
 		payload = c.payload
 	}
-	pkt := netsim.NewRequest(c.addr, pr.dst, id, payload)
+	pkt := netsim.NewRequest(c.addr, pr.dst, pr.id, payload)
 	pkt.RespHint = pr.respHint
 	pkt.Deadline = pr.deadline
 	c.uplink.Send(pkt)
@@ -383,11 +397,13 @@ func (c *Client) transmit(id uint64, pr *pendingReq) {
 	if to <= 0 {
 		return
 	}
-	if pr.timer == nil {
-		pr.timer = sim.NewTimer(c.eng, func() { c.timeout(id) })
-	}
-	pr.timer.Arm(to)
+	pr.timer.Cancel()
+	pr.timer = c.eng.ScheduleArg2(to, clientTimeout, c, pr)
 }
+
+// clientTimeout is the RTO/deadline expiry trampoline (a0 is the
+// *Client, a1 the *pendingReq).
+func clientTimeout(a0, a1 any) { a0.(*Client).timeout(a1.(*pendingReq)) }
 
 // rto returns the retransmission timeout for the given retry count:
 // fixed by default, doubling per retry up to BackoffCap with Backoff set.
@@ -409,44 +425,41 @@ func (c *Client) rto(retries int) sim.Duration {
 	return rto
 }
 
-func (c *Client) timeout(id uint64) {
-	pr, ok := c.pending[id]
-	if !ok {
-		return
-	}
+func (c *Client) timeout(pr *pendingReq) {
+	pr.timer = sim.Handle{}
 	if pr.deadline > 0 && c.eng.Now() >= pr.deadline {
 		// The end-to-end deadline passed: terminal, no more retries.
 		c.DeadlineExceeded.Inc()
-		c.fail(id, pr)
+		c.fail(pr)
 		return
 	}
 	if pr.retries >= c.cfg.MaxRetries {
 		// Give up; record the time wasted so the tail reflects the loss.
 		c.Abandoned.Inc()
-		c.fail(id, pr)
+		c.fail(pr)
 		return
 	}
 	if !c.Budget.TryRetry() {
 		// The retry budget is spent: amplifying load won't help, convert
 		// the retry into a terminal failure instead.
 		c.BudgetDenied.Inc()
-		c.fail(id, pr)
+		c.fail(pr)
 		return
 	}
 	pr.retries++
 	c.Retransmits.Inc()
-	c.transmit(id, pr)
+	c.transmit(pr)
 }
 
 // fail terminates an outstanding request, recording its give-up latency
 // (so the tail reflects the loss) and feeding the circuit breaker.
-func (c *Client) fail(id uint64, pr *pendingReq) {
+func (c *Client) fail(pr *pendingReq) {
 	if pr.sent >= c.measureFrom {
 		c.lat.Record(c.eng.Now() - pr.sent)
 		c.latHist.Record(c.eng.Now() - pr.sent)
 	}
 	c.Breaker.Failure(c.eng.Now())
-	delete(c.pending, id)
+	c.retire(pr)
 }
 
 // Receive implements netsim.Receiver for response segments. Corrupt
@@ -479,9 +492,7 @@ func (c *Client) Receive(p *netsim.Packet) {
 	if countBits(pr.got) < min64(pr.need, 64) {
 		return
 	}
-	if pr.timer != nil {
-		pr.timer.Stop()
-	}
+	pr.timer.Cancel()
 	if pr.deadline > 0 && c.eng.Now() > pr.deadline {
 		// The full response arrived, but past the deadline: the caller has
 		// already moved on, so this is a failure, not goodput.
@@ -495,7 +506,7 @@ func (c *Client) Receive(p *netsim.Packet) {
 		c.lat.Record(c.eng.Now() - pr.sent)
 		c.latHist.Record(c.eng.Now() - pr.sent)
 	}
-	delete(c.pending, p.ReqID)
+	c.retire(pr)
 }
 
 func countBits(v uint64) int {

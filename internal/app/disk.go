@@ -16,12 +16,22 @@ type Disk struct {
 	mean        sim.Duration
 	concurrency int
 	inflight    int
-	queue       []func()
+	queue       []*diskAccess // FIFO backlog from qHead on
+	qHead       int
+	free        sim.FreeList[diskAccess]
 
 	// Reads counts completed accesses; MaxQueue tracks the deepest
 	// backlog observed.
 	Reads    stats.Counter
 	MaxQueue int
+}
+
+// diskAccess is one access's completion callback, done(a0, a1). The disk
+// owns it from Read until completion, then recycles it.
+type diskAccess struct {
+	d      *Disk
+	done   func(a0, a1 any)
+	a0, a1 any
 }
 
 // NewDisk builds a disk with the given mean access time and concurrency.
@@ -35,15 +45,17 @@ func NewDisk(eng *sim.Engine, rng *sim.Rand, mean sim.Duration, concurrency int)
 	return &Disk{eng: eng, rng: rng, mean: mean, concurrency: concurrency}
 }
 
-// Read performs an access and calls done on completion.
-func (d *Disk) Read(done func()) {
+// Read performs an access and calls done(a0, a1) on completion.
+func (d *Disk) Read(done func(a0, a1 any), a0, a1 any) {
+	acc := d.free.Get()
+	acc.d, acc.done, acc.a0, acc.a1 = d, done, a0, a1
 	if d.inflight < d.concurrency {
-		d.begin(done)
+		d.begin(acc)
 		return
 	}
-	d.queue = append(d.queue, done)
-	if len(d.queue) > d.MaxQueue {
-		d.MaxQueue = len(d.queue)
+	d.queue = append(d.queue, acc)
+	if n := d.Queued(); n > d.MaxQueue {
+		d.MaxQueue = n
 	}
 }
 
@@ -51,19 +63,32 @@ func (d *Disk) Read(done func()) {
 func (d *Disk) Inflight() int { return d.inflight }
 
 // Queued returns the number of accesses waiting for a service slot.
-func (d *Disk) Queued() int { return len(d.queue) }
+func (d *Disk) Queued() int { return len(d.queue) - d.qHead }
 
-func (d *Disk) begin(done func()) {
+func (d *Disk) begin(acc *diskAccess) {
 	d.inflight++
-	d.eng.Schedule(d.rng.Exp(d.mean), func() {
-		d.inflight--
-		d.Reads.Inc()
-		done()
-		if len(d.queue) > 0 {
-			next := d.queue[0]
-			copy(d.queue, d.queue[1:])
-			d.queue = d.queue[:len(d.queue)-1]
-			d.begin(next)
+	d.eng.ScheduleArg(d.rng.Exp(d.mean), diskComplete, acc)
+}
+
+// diskComplete finishes an access and starts the next queued one (arg is
+// the *diskAccess).
+func diskComplete(arg any) {
+	acc := arg.(*diskAccess)
+	d := acc.d
+	done, a0, a1 := acc.done, acc.a0, acc.a1
+	*acc = diskAccess{}
+	d.free.Put(acc)
+	d.inflight--
+	d.Reads.Inc()
+	done(a0, a1)
+	if d.Queued() > 0 {
+		next := d.queue[d.qHead]
+		d.queue[d.qHead] = nil
+		d.qHead++
+		if d.qHead > 64 && d.qHead*2 >= len(d.queue) {
+			d.queue = append(d.queue[:0], d.queue[d.qHead:]...)
+			d.qHead = 0
 		}
-	})
+		d.begin(next)
+	}
 }

@@ -65,6 +65,9 @@ type Server struct {
 	lastIdle    sim.Time
 	trace       *telemetry.EventTrace // shed/reject events (nil = off)
 
+	reqFree sim.FreeList[request]
+	segs    []*netsim.Packet // response segmentation scratch
+
 	// Served counts completed requests; Ignored counts non-request
 	// packets reaching the socket layer; DiskReads counts cache misses.
 	Served    stats.Counter
@@ -124,21 +127,74 @@ func (s *Server) HandleDelivered(p *netsim.Packet, pollCore int) {
 	}
 	s.Inflight++
 	cycles := s.profile.ParseCycles + s.serviceCycles()
-	resume := func(coreID int) {
-		if s.disk != nil && s.rng.Bool(s.profile.DiskProb) {
-			s.DiskReads.Inc()
-			s.disk.Read(func() { s.finish(p, coreID) })
-			return
-		}
-		s.finish(p, coreID)
-	}
+	s.runTask(s.newRequest(p), pollCore, cycles, serverServe)
+}
+
+// request is one request's server-side state from socket delivery to
+// response: the argument of its application task, disk access and finish
+// steps, so none of them needs a closure. The server owns it throughout
+// and recycles it when the response goes to the driver.
+type request struct {
+	s        *Server
+	p        *netsim.Packet // nil for a stored-response resend
+	core     int            // core the application task ran on
+	admitted bool           // dispatched by the admission queue
+	start    sim.Time       // admission dispatch time
+
+	// A stored-response resend (absorbDuplicate) carries the routing
+	// fields and body size instead of the released request packet.
+	src   netsim.Addr
+	reqID uint64
+	body  int
+}
+
+func (s *Server) newRequest(p *netsim.Packet) *request {
+	r := s.reqFree.Get()
+	r.s, r.p = s, p
+	return r
+}
+
+// freeRequest recycles r; the caller copies out what it still needs.
+func (s *Server) freeRequest(r *request) {
+	*r = request{}
+	s.reqFree.Put(r)
+}
+
+// runTask submits r's application task of the given cost — pinned to
+// pollCore with Affine set, else placed by the kernel — and records the
+// core it runs on; fn(r, nil) runs when the task completes.
+func (s *Server) runTask(r *request, pollCore int, cycles int64, fn func(a0, a1 any)) {
 	if s.Affine {
-		s.k.SubmitTaskOn(pollCore, s.profile.Name, cycles, func() { resume(pollCore) })
+		r.core = pollCore
+		s.k.SubmitTaskOn(pollCore, s.profile.Name, cycles, fn, r, nil)
 		return
 	}
-	var coreID int // assigned below, read only when the task completes
-	core := s.k.SubmitTask(s.profile.Name, cycles, func() { resume(coreID) })
-	coreID = core.ID()
+	r.core = s.k.SubmitTask(s.profile.Name, cycles, fn, r, nil).ID()
+}
+
+// serverServe runs when a request's application task completes (a0 is
+// the *request): a cache miss first waits for the disk.
+func serverServe(a0, _ any) {
+	r := a0.(*request)
+	s := r.s
+	if s.disk != nil && s.rng.Bool(s.profile.DiskProb) {
+		s.DiskReads.Inc()
+		s.disk.Read(serverFinish, r, nil)
+		return
+	}
+	serverFinish(r, nil)
+}
+
+// serverFinish sends the request's response (a0 is the *request).
+func serverFinish(a0, _ any) {
+	r := a0.(*request)
+	s, p, core, admitted, start := r.s, r.p, r.core, r.admitted, r.start
+	s.freeRequest(r)
+	if admitted {
+		s.finishAdmitted(p, core, start)
+		return
+	}
+	s.finish(p, core)
 }
 
 func (s *Server) finish(req *netsim.Packet, coreID int) {
@@ -154,9 +210,16 @@ func (s *Server) finish(req *netsim.Packet, coreID int) {
 	if s.Dedup {
 		s.rememberServed(req.ReqID, body)
 	}
-	segs := netsim.SegmentResponse(s.addr, req.Src, req.ReqID, body)
+	s.segs = netsim.SegmentResponse(s.segs[:0], s.addr, req.Src, req.ReqID, body)
 	req.Release()
-	s.drv.Send(coreID, segs)
+	s.sendSegs(coreID)
+}
+
+// sendSegs hands the segmented response to the driver, which copies the
+// frame pointers, so the scratch slice is free again at once.
+func (s *Server) sendSegs(coreID int) {
+	s.drv.Send(coreID, s.segs)
+	clear(s.segs)
 }
 
 // absorbDuplicate handles a retransmitted request. A duplicate of an
@@ -178,24 +241,23 @@ func (s *Server) absorbDuplicate(p *netsim.Packet, pollCore int) bool {
 		s.DupResent.Inc()
 		// Copy the routing fields out: the packet is released now, before
 		// the deferred resend task runs.
-		src, reqID := p.Src, p.ReqID
+		r := s.newRequest(nil)
+		r.src, r.reqID, r.body = p.Src, p.ReqID, body
 		p.Release()
-		resend := func(coreID int) {
-			segs := netsim.SegmentResponse(s.addr, src, reqID, body)
-			s.drv.Send(coreID, segs)
-		}
-		if s.Affine {
-			s.k.SubmitTaskOn(pollCore, s.profile.Name, s.profile.ParseCycles,
-				func() { resend(pollCore) })
-			return true
-		}
-		var coreID int
-		core := s.k.SubmitTask(s.profile.Name, s.profile.ParseCycles, func() { resend(coreID) })
-		coreID = core.ID()
+		s.runTask(r, pollCore, s.profile.ParseCycles, serverResend)
 		return true
 	}
 	s.dupInflight[p.ReqID] = true
 	return false
+}
+
+// serverResend retransmits a stored response (a0 is the *request).
+func serverResend(a0, _ any) {
+	r := a0.(*request)
+	s, core := r.s, r.core
+	s.segs = netsim.SegmentResponse(s.segs[:0], s.addr, r.src, r.reqID, r.body)
+	s.freeRequest(r)
+	s.sendSegs(core)
 }
 
 // rememberServed moves a request from in-flight to the bounded

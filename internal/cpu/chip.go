@@ -248,10 +248,12 @@ func (d *Domain) finishTransition() {
 	d.transitioning = false
 	d.Transitions.Inc()
 	d.pstateMeter.Transition(now, d.cur.Index)
-	d.chip.trace.Emit(telemetry.Event{
-		T: now, Comp: "cpu", Kind: "pstate.set", Core: d.id,
-		V: float64(d.cur.MHz), Detail: d.cur.String(),
-	})
+	if d.chip.trace != nil { // formatting the detail allocates
+		d.chip.trace.Emit(telemetry.Event{
+			T: now, Comp: "cpu", Kind: "pstate.set", Core: d.id,
+			V: float64(d.cur.MHz), Detail: d.cur.String(),
+		})
+	}
 	// Every running core was stalled for the relock, so resuming them here
 	// naturally restarts their slices at the new frequency.
 	for _, core := range d.cores {
@@ -307,24 +309,17 @@ func (c *Chip) ResetStats() {
 	}
 }
 
-// Utilization returns each core's busy fraction over the window since the
-// given per-core busy snapshots, plus fresh snapshots (the ondemand
-// sampling primitive).
-func (c *Chip) Utilization(prev []sim.Duration, window sim.Duration) (util []float64, next []sim.Duration) {
-	util = make([]float64, len(c.cores))
-	next = make([]sim.Duration, len(c.cores))
+// Utilization fills util with each core's busy fraction over the window
+// since the per-core busy snapshots in snap, then advances snap to the
+// current busy times (the ondemand sampling primitive). Both slices hold
+// one entry per core; a zero window only takes the snapshots.
+func (c *Chip) Utilization(snap []sim.Duration, window sim.Duration, util []float64) {
 	for i, core := range c.cores {
 		b := core.BusyTime()
-		next[i] = b
-		if window > 0 && prev != nil {
-			util[i] = float64(b-prev[i]) / float64(window)
-			if util[i] > 1 {
-				util[i] = 1
-			}
-			if util[i] < 0 {
-				util[i] = 0
-			}
+		util[i] = 0
+		if window > 0 {
+			util[i] = min(max(float64(b-snap[i])/float64(window), 0), 1)
 		}
+		snap[i] = b
 	}
-	return util, next
 }

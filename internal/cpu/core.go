@@ -28,9 +28,10 @@ type Core struct {
 	dom  *Domain
 	id   int
 
-	queues  [numPrios][]*Work
+	queues  [numPrios]workRing
 	running *Work
-	runFrom sim.Time // when the current execution slice started
+	runFrom sim.Time           // when the current execution slice started
+	free    sim.FreeList[Work] // completed SubmitArg items, ready for reuse
 
 	// Handles, not *sim.Event: the engine pools events, so only a Handle
 	// can be retained across fires without risking aliasing a reused one.
@@ -83,7 +84,7 @@ func (c *Core) Sleeping() bool { return c.cstate != power.C0 }
 
 // QueueLen returns the number of pending work items at a priority
 // (excluding the running item).
-func (c *Core) QueueLen(p Priority) int { return len(c.queues[p]) }
+func (c *Core) QueueLen(p Priority) int { return c.queues[p].n }
 
 // BusyTime returns total execution time including the in-flight slice —
 // the utilization numerator the ondemand governor samples.
@@ -116,15 +117,19 @@ func (c *Core) ResetStats() {
 }
 
 // Submit queues work on the core, waking it or preempting lower-priority
-// execution as needed.
+// execution as needed. It panics if w is already queued or running.
 func (c *Core) Submit(w *Work) {
 	if w == nil || w.Prio < 0 || w.Prio >= numPrios {
 		panic(fmt.Sprintf("cpu: bad work submission %+v", w))
 	}
+	if w.inFlight {
+		panic(fmt.Sprintf("cpu: work %q submitted while already queued or running", w.Name))
+	}
+	w.inFlight = true
 	if w.Cycles <= 0 {
 		w.Cycles = 1
 	}
-	c.queues[w.Prio] = append(c.queues[w.Prio], w)
+	c.queues[w.Prio].pushBack(w)
 
 	switch {
 	case c.Sleeping():
@@ -132,11 +137,23 @@ func (c *Core) Submit(w *Work) {
 	case c.waking || c.stalled:
 		// Will dispatch when the wake or stall completes.
 	case c.running != nil && w.Prio < c.running.Prio:
-		c.pauseRunning(true)
+		c.pauseRunning()
 		c.dispatch()
 	case c.running == nil:
 		c.dispatch()
 	}
+}
+
+// SubmitArg queues fn(a0, a1) as prio-class work of the given cycle
+// budget — the allocation-free path for per-request and per-packet
+// steps. The Work item comes from the core's free list and returns to it
+// once it completes (work never migrates, so it completes here).
+func (c *Core) SubmitArg(name string, cycles int64, prio Priority, fn func(a0, a1 any), a0, a1 any) {
+	w := c.free.Get()
+	w.pooled = true
+	w.Name, w.Cycles, w.Prio = name, cycles, prio
+	w.OnDone, w.A0, w.A1 = fn, a0, a1
+	c.Submit(w)
 }
 
 // beginWake starts the C-state exit sequence (hardware exit latency plus
@@ -192,11 +209,8 @@ func (c *Core) dispatch() {
 		return
 	}
 	for p := Priority(0); p < numPrios; p++ {
-		if len(c.queues[p]) > 0 {
-			w := c.queues[p][0]
-			copy(c.queues[p], c.queues[p][1:])
-			c.queues[p] = c.queues[p][:len(c.queues[p])-1]
-			c.start(w)
+		if c.queues[p].n > 0 {
+			c.start(c.queues[p].popFront())
 			return
 		}
 	}
@@ -222,15 +236,21 @@ func (c *Core) complete() {
 	c.running = nil
 	c.doneEv = sim.Handle{}
 	c.chip.powerChanged()
-	if w.OnDone != nil {
-		w.OnDone()
+	w.inFlight = false
+	fn, a0, a1 := w.OnDone, w.A0, w.A1
+	if w.pooled {
+		*w = Work{} // drop the callback's references
+		c.free.Put(w)
+	}
+	if fn != nil {
+		fn(a0, a1)
 	}
 	c.dispatch()
 }
 
 // pauseRunning charges the elapsed slice, recomputes the remaining budget,
-// and (optionally) requeues the item at the front of its priority class.
-func (c *Core) pauseRunning(requeue bool) {
+// and requeues the item at the front of its priority class.
+func (c *Core) pauseRunning() {
 	if c.running == nil {
 		return
 	}
@@ -245,10 +265,8 @@ func (c *Core) pauseRunning(requeue bool) {
 	c.doneEv.Cancel()
 	c.doneEv = sim.Handle{}
 	c.running = nil
-	if requeue {
-		c.queues[w.Prio] = append([]*Work{w}, c.queues[w.Prio]...)
-		c.Preempts.Inc()
-	}
+	c.queues[w.Prio].pushFront(w)
+	c.Preempts.Inc()
 	c.chip.powerChanged()
 }
 
@@ -279,7 +297,7 @@ func (c *Core) beginStall() {
 		return
 	}
 	c.stalled = true
-	c.pauseRunning(true)
+	c.pauseRunning()
 }
 
 // endStall resumes execution after the PLL relock.
@@ -310,4 +328,46 @@ func cyclesToDur(cycles int64, mhz int) sim.Duration {
 // durToCycles converts elapsed wall time to consumed cycles at freq MHz.
 func durToCycles(d sim.Duration, mhz int) int64 {
 	return int64(d) * int64(mhz) / 1000
+}
+
+// workRing is one priority class's run queue: a FIFO deque that also
+// takes preempted work back at the front. Every operation is O(1), and
+// none allocates once the ring has grown to the queue's working depth.
+type workRing struct {
+	buf  []*Work // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *workRing) pushBack(w *Work) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = w
+	r.n++
+}
+
+func (r *workRing) pushFront(w *Work) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.head = (r.head - 1) & (len(r.buf) - 1)
+	r.buf[r.head] = w
+	r.n++
+}
+
+func (r *workRing) popFront() *Work {
+	w := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return w
+}
+
+func (r *workRing) grow() {
+	buf := make([]*Work, max(8, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
 }

@@ -1,10 +1,12 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"ncap/internal/power"
+	"ncap/internal/race"
 	"ncap/internal/sim"
 )
 
@@ -18,7 +20,7 @@ func TestWorkDurationScalesWithFrequency(t *testing.T) {
 	chip := newChip(eng)
 	var doneAt sim.Time
 	// 3.1e6 cycles at 3.1 GHz = 1 ms.
-	chip.Core(0).Submit(&Work{Name: "w", Cycles: 3_100_000, Prio: PrioTask, OnDone: func() { doneAt = eng.Now() }})
+	chip.Core(0).Submit(&Work{Name: "w", Cycles: 3_100_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt = eng.Now() }})
 	eng.Run(sim.Second)
 	if doneAt != sim.Millisecond {
 		t.Fatalf("done at %v, want 1ms", doneAt)
@@ -29,7 +31,7 @@ func TestWorkDurationScalesWithFrequency(t *testing.T) {
 	tab := power.DefaultTable()
 	chip2 := New(eng2, 1, tab, power.DefaultModel(), tab.Min())
 	var doneAt2 sim.Time
-	chip2.Core(0).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: func() { doneAt2 = eng2.Now() }})
+	chip2.Core(0).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt2 = eng2.Now() }})
 	eng2.Run(sim.Second)
 	want := sim.Time(3_100_000 * 1000 / 800)
 	if doneAt2 != want {
@@ -42,7 +44,7 @@ func TestFIFOWithinPriority(t *testing.T) {
 	chip := newChip(eng)
 	var order []string
 	mk := func(name string) *Work {
-		return &Work{Name: name, Cycles: 1000, Prio: PrioTask, OnDone: func() { order = append(order, name) }}
+		return &Work{Name: name, Cycles: 1000, Prio: PrioTask, OnDone: RunFunc, A0: func() { order = append(order, name) }}
 	}
 	chip.Core(0).Submit(mk("a"))
 	chip.Core(0).Submit(mk("b"))
@@ -58,10 +60,10 @@ func TestIRQPreemptsTask(t *testing.T) {
 	chip := newChip(eng)
 	core := chip.Core(0)
 	var order []string
-	core.Submit(&Work{Name: "task", Cycles: 31_000_000, Prio: PrioTask, OnDone: func() { order = append(order, "task") }})
+	core.Submit(&Work{Name: "task", Cycles: 31_000_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { order = append(order, "task") }})
 	// Inject an IRQ midway through the task.
 	eng.Schedule(sim.Millisecond, func() {
-		core.Submit(&Work{Name: "irq", Cycles: 3100, Prio: PrioIRQ, OnDone: func() { order = append(order, "irq") }})
+		core.Submit(&Work{Name: "irq", Cycles: 3100, Prio: PrioIRQ, OnDone: RunFunc, A0: func() { order = append(order, "irq") }})
 	})
 	eng.Run(sim.Second)
 	if len(order) != 2 || order[0] != "irq" || order[1] != "task" {
@@ -78,7 +80,7 @@ func TestPreemptionPreservesTotalWork(t *testing.T) {
 	core := chip.Core(0)
 	var doneAt sim.Time
 	// 31e6 cycles = 10 ms at 3.1 GHz.
-	core.Submit(&Work{Name: "task", Cycles: 31_000_000, Prio: PrioTask, OnDone: func() { doneAt = eng.Now() }})
+	core.Submit(&Work{Name: "task", Cycles: 31_000_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt = eng.Now() }})
 	// 1 ms of IRQ work injected at t=2ms delays completion by ~1 ms.
 	eng.Schedule(2*sim.Millisecond, func() {
 		core.Submit(&Work{Name: "irq", Cycles: 3_100_000, Prio: PrioIRQ})
@@ -116,7 +118,7 @@ func TestSleepAndWakeLatency(t *testing.T) {
 	// latency (22 µs) + MWAIT overhead (2 µs) + 1 µs of execution.
 	var doneAt sim.Time
 	eng.At(sim.Millisecond, func() {
-		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: func() { doneAt = eng.Now() }})
+		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt = eng.Now() }})
 	})
 	eng.Run(sim.Second)
 	want := sim.Time(sim.Millisecond + 22*sim.Microsecond + power.MwaitWakeOverhead + sim.Microsecond)
@@ -146,7 +148,7 @@ func TestC0PollingWakesInstantly(t *testing.T) {
 	}
 	var doneAt sim.Time
 	eng.At(sim.Millisecond, func() {
-		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: func() { doneAt = eng.Now() }})
+		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt = eng.Now() }})
 	})
 	eng.Run(sim.Second)
 	if doneAt != sim.Millisecond+sim.Microsecond {
@@ -196,7 +198,7 @@ func TestTransitionStallsExecution(t *testing.T) {
 	core := chip.Core(0)
 	var doneAt sim.Time
 	// 3.1e6 cycles = 1 ms at P0.
-	core.Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: func() { doneAt = eng.Now() }})
+	core.Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt = eng.Now() }})
 	// Mid-flight down-transition at t=0.5ms: 5µs stall, then the remaining
 	// ~0.5ms of cycles run at 0.8 GHz (3.875x slower).
 	eng.At(500*sim.Microsecond, func() { chip.SetPState(tab.Min()) })
@@ -246,9 +248,10 @@ func TestBusyTimeAndUtilization(t *testing.T) {
 	core := chip.Core(0)
 	// 2 ms of work on core 0.
 	core.Submit(&Work{Cycles: 6_200_000, Prio: PrioTask})
-	_, snap := chip.Utilization(nil, 0)
+	snap, util := make([]sim.Duration, 4), make([]float64, 4)
+	chip.Utilization(snap, 0, util)
 	eng.Run(10 * sim.Millisecond)
-	util, _ := chip.Utilization(snap, 10*sim.Millisecond)
+	chip.Utilization(snap, 10*sim.Millisecond, util)
 	if util[0] < 0.19 || util[0] > 0.21 {
 		t.Fatalf("core0 util = %v, want ~0.2", util[0])
 	}
@@ -341,11 +344,11 @@ func TestSubmitDuringWakeCoalesces(t *testing.T) {
 	eng.Run(10 * sim.Microsecond) // now sleeping in C6
 	done := 0
 	eng.At(sim.Millisecond, func() {
-		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: func() { done++ }})
+		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: func() { done++ }})
 	})
 	// Second submission lands mid-wake; both must complete, one wake only.
 	eng.At(sim.Millisecond+5*sim.Microsecond, func() {
-		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: func() { done++ }})
+		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: func() { done++ }})
 	})
 	eng.Run(sim.Second)
 	if done != 2 {
@@ -361,7 +364,7 @@ func TestZeroCycleWorkClamped(t *testing.T) {
 	eng := sim.NewEngine()
 	chip := newChip(eng)
 	done := false
-	chip.Core(0).Submit(&Work{Cycles: 0, Prio: PrioTask, OnDone: func() { done = true }})
+	chip.Core(0).Submit(&Work{Cycles: 0, Prio: PrioTask, OnDone: RunFunc, A0: func() { done = true }})
 	eng.Run(sim.Millisecond)
 	if !done {
 		t.Fatal("zero-cycle work never completed")
@@ -377,10 +380,10 @@ func TestOnDoneChaining(t *testing.T) {
 	chain = func() {
 		count++
 		if count < 10 {
-			core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: chain})
+			core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: chain})
 		}
 	}
-	core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: chain})
+	core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: chain})
 	eng.Run(sim.Second)
 	if count != 10 {
 		t.Fatalf("chain count = %d", count)
@@ -407,8 +410,8 @@ func TestPerCoreDomainsIndependent(t *testing.T) {
 	}
 	// Work on core 1 runs 3.875x faster than on core 0.
 	var done0, done1 sim.Time
-	chip.Core(0).Submit(&Work{Cycles: 800_000, Prio: PrioTask, OnDone: func() { done0 = eng.Now() }})
-	chip.Core(1).Submit(&Work{Cycles: 800_000, Prio: PrioTask, OnDone: func() { done1 = eng.Now() }})
+	chip.Core(0).Submit(&Work{Cycles: 800_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { done0 = eng.Now() }})
+	chip.Core(1).Submit(&Work{Cycles: 800_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { done1 = eng.Now() }})
 	eng.Run(sim.Second)
 	if done1 >= done0 {
 		t.Fatalf("boosted core not faster: %v vs %v", done1, done0)
@@ -420,8 +423,8 @@ func TestPerCoreTransitionStallsOnlyOwnCore(t *testing.T) {
 	tab := power.DefaultTable()
 	chip := NewPerCore(eng, 2, tab, power.DefaultModel(), tab.Max())
 	var done0, done1 sim.Time
-	chip.Core(0).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: func() { done0 = eng.Now() }})
-	chip.Core(1).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: func() { done1 = eng.Now() }})
+	chip.Core(0).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { done0 = eng.Now() }})
+	chip.Core(1).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { done1 = eng.Now() }})
 	// Down-transition domain 0 mid-flight: only core 0 is stalled/slowed.
 	eng.At(500*sim.Microsecond, func() { chip.Core(0).Domain().SetPState(tab.Min()) })
 	eng.Run(sim.Second)
@@ -523,7 +526,7 @@ func TestKickIdleDoesNotLoseQueuedWork(t *testing.T) {
 	// Work arrives and, in the same instant, a kick (IT_LOW racing rx).
 	done := false
 	eng.At(sim.Millisecond, func() {
-		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: func() { done = true }})
+		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: func() { done = true }})
 		core.KickIdle()
 	})
 	eng.Run(sim.Second)
@@ -549,7 +552,7 @@ func TestBusyConservationProperty(t *testing.T) {
 			eng.At(sim.Time(delay), func() {
 				submitted++
 				core.Submit(&Work{Cycles: int64(r%1000)*1000 + 1, Prio: PrioTask,
-					OnDone: func() { completed++ }})
+					OnDone: RunFunc, A0: func() { completed++ }})
 			})
 		}
 		eng.Run(100 * sim.Millisecond)
@@ -564,5 +567,104 @@ func TestBusyConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubmitRejectsInFlightWork: a Work item is owned by the core from
+// Submit until it completes, so submitting it again while queued or
+// running panics — the contract the pooled free lists rely on.
+func TestSubmitRejectsInFlightWork(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prep func(core *Core, w *Work)
+	}{
+		{"running", func(core *Core, w *Work) { core.Submit(w) }},
+		{"queued", func(core *Core, w *Work) {
+			core.Submit(&Work{Cycles: 3100, Prio: PrioTask})
+			core.Submit(w)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			core := newChip(eng).Core(0)
+			w := &Work{Name: "w", Cycles: 3100, Prio: PrioTask}
+			tc.prep(core, w)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("double submit did not panic")
+				}
+			}()
+			core.Submit(w)
+		})
+	}
+}
+
+// TestResubmitFromOnDone: once its budget is spent the item is free
+// again, so OnDone may hand the very same Work back to the core.
+func TestResubmitFromOnDone(t *testing.T) {
+	eng := sim.NewEngine()
+	core := newChip(eng).Core(0)
+	runs := 0
+	w := &Work{Name: "again", Prio: PrioTask}
+	w.OnDone = func(a0, _ any) {
+		runs++
+		if runs < 5 {
+			w.Cycles = 3100
+			core.Submit(a0.(*Work))
+		}
+	}
+	w.A0, w.Cycles = w, 3100
+	core.Submit(w)
+	eng.Run(sim.Second)
+	if runs != 5 {
+		t.Fatalf("OnDone ran %d times, want 5", runs)
+	}
+}
+
+// TestSubmitArgRecyclesWork: pooled work returns to the core's free list
+// once it completes, so a steady submit/complete cycle allocates nothing.
+func TestSubmitArgRecyclesWork(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	eng := sim.NewEngine()
+	core := newChip(eng).Core(0)
+	done := 0
+	count := func(a0, _ any) { *a0.(*int)++ }
+	cycle := func() {
+		core.SubmitArg("step", 3100, PrioTask, count, &done, nil)
+		core.SubmitArg("step", 3100, PrioSoftIRQ, count, &done, nil)
+		eng.Run(eng.Now() + sim.Millisecond)
+	}
+	cycle() // grow the free list and run queues
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state SubmitArg allocates %.1f objects per cycle", allocs)
+	}
+	if done != 2*102 {
+		t.Fatalf("completed %d callbacks, want %d", done, 2*102)
+	}
+}
+
+// TestRunQueueRingOrder: the ring deques keep FIFO order within a class
+// across wraparound and growth, and a preempted item resumes first.
+func TestRunQueueRingOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	core := newChip(eng).Core(0)
+	var order []int
+	record := func(a0, _ any) { order = append(order, a0.(int)) }
+	for i := 0; i < 20; i++ {
+		core.SubmitArg("t", 3100, PrioTask, record, i, nil)
+	}
+	// Preempt the running task 0 halfway: it must finish before task 1.
+	eng.Schedule(500*sim.Nanosecond, func() {
+		core.SubmitArg("irq", 3100, PrioIRQ, record, -1, nil)
+	})
+	eng.Run(sim.Second)
+	want := []int{-1}
+	for i := 0; i < 20; i++ {
+		want = append(want, i)
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("completion order %v, want %v", order, want)
 	}
 }

@@ -37,8 +37,16 @@ func (p Priority) String() string {
 	return fmt.Sprintf("prio?%d", int(p))
 }
 
-// Work is a unit of execution: a cycle budget plus a completion callback.
-// The same Work value must not be submitted twice concurrently.
+// Work is a unit of execution: a cycle budget plus a closure-free
+// completion callback, OnDone(A0, A1), in the style of the engine's
+// ScheduleArg2 — a package-level function and pointer arguments cost no
+// heap allocation, where a closure usually would.
+//
+// A Work value is owned by whoever submitted it until it completes: it
+// must not be submitted again while queued or running (Core.Submit
+// panics), but OnDone may resubmit it. Per-request work should not be
+// built by callers at all: Core.SubmitArg draws items from the core's
+// own free list and recycles them once they complete.
 type Work struct {
 	// Name labels the work for debugging and tracing.
 	Name string
@@ -47,7 +55,15 @@ type Work struct {
 	Cycles int64
 	// Prio selects the execution class.
 	Prio Priority
-	// OnDone runs (in event context) when the budget is exhausted. It may
-	// submit new work. May be nil.
-	OnDone func()
+	// OnDone runs OnDone(A0, A1) in event context when the budget is
+	// exhausted. It may submit new work. May be nil.
+	OnDone func(a0, a1 any)
+	A0, A1 any
+
+	inFlight bool // queued or running on a core
+	pooled   bool // drawn from a core's free list by SubmitArg
 }
+
+// RunFunc is the shared trampoline for cold callers that really need a
+// closure: pass it as OnDone with the func() as A0.
+func RunFunc(a0, _ any) { a0.(func())() }

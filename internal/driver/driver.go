@@ -105,6 +105,28 @@ type queueCtx struct {
 	irq    *oskernel.IRQ
 	napi   *oskernel.SoftIRQ
 	menu   bool // this queue holds a menu-disable reference
+
+	// rxFree recycles finished rxBatch records. An urgent NCAP interrupt
+	// can start a second poll while an earlier batch is still being
+	// processed, so batches are records, not fields of the queue.
+	rxFree sim.FreeList[rxBatch]
+}
+
+// rxBatch is one NAPI poll's packets and how far processing has got; it
+// is the per-packet softirq step's argument. The queue owns it from poll
+// until the last packet is delivered, then recycles it.
+type rxBatch struct {
+	c    *queueCtx
+	pkts []*netsim.Packet
+	i    int
+}
+
+// txBatch is one Send's frames, copied out of the caller's slice so they
+// outlive it until the deferred NET_TX work transmits them. The driver
+// owns it from Send until transmission, then recycles it.
+type txBatch struct {
+	d    *Driver
+	pkts []*netsim.Packet
 }
 
 // Driver binds a NIC to a kernel.
@@ -115,6 +137,7 @@ type Driver struct {
 	hooks   PowerHooks
 	ctxs    []*queueCtx
 	deliver Deliver
+	txFree  sim.FreeList[txBatch]
 
 	// menuRefs counts menu-disable holders per core (several queues can
 	// share a core): the governor is disabled at 0→1 and re-enabled at
@@ -280,13 +303,18 @@ func (c *queueCtx) poll() {
 		return
 	}
 	c.d.Polls.Inc()
-	c.processFrom(pkts, 0)
+	b := c.rxFree.Get()
+	b.c, b.pkts, b.i = c, pkts, 0
+	b.next()
 }
 
-func (c *queueCtx) processFrom(pkts []*netsim.Packet, i int) {
-	d := c.d
-	if i == len(pkts) {
-		c.q.Recycle(pkts)
+// next queues the softirq step for packet i, or finishes the batch.
+func (b *rxBatch) next() {
+	c, d := b.c, b.c.d
+	if b.i == len(b.pkts) {
+		c.q.Recycle(b.pkts)
+		b.pkts = nil
+		c.rxFree.Put(b)
 		if c.q.RxPending() > 0 {
 			c.napi.Raise()
 		} else {
@@ -298,36 +326,54 @@ func (c *queueCtx) processFrom(pkts []*netsim.Packet, i int) {
 	if d.swMon != nil {
 		cycles += d.cfg.SWInspectCycles
 	}
-	c.napi.Run(cycles, func() {
-		p := pkts[i]
-		if d.swMon != nil {
-			d.swMon.Inspect(p.Payload)
-		}
-		d.Delivered.Inc()
-		d.deliver(p, c.coreID)
-		c.processFrom(pkts, i+1)
-	})
+	c.napi.Run(cycles, rxStep, b, nil)
+}
+
+// rxStep delivers one polled packet once its stack cost is paid (a0 is
+// the *rxBatch).
+func rxStep(a0, _ any) {
+	b := a0.(*rxBatch)
+	c, d := b.c, b.c.d
+	p := b.pkts[b.i]
+	b.i++
+	if d.swMon != nil {
+		d.swMon.Inspect(p.Payload)
+	}
+	d.Delivered.Inc()
+	d.deliver(p, c.coreID)
+	b.next()
 }
 
 // Send transmits response packets on the given core. The tx stack cost
 // runs in NET_TX softirq context: it preempts queued application tasks
 // (responses leave as soon as their request completes, they do not wait
-// behind the rest of the run queue) but yields to hard interrupts.
+// behind the rest of the run queue) but yields to hard interrupts. Send
+// copies the frame pointers, so the caller may reuse pkts at once.
 func (d *Driver) Send(coreID int, pkts []*netsim.Packet) {
 	if len(pkts) == 0 {
 		return
 	}
+	b := d.txFree.Get()
+	b.d, b.pkts = d, append(b.pkts[:0], pkts...)
 	cycles := int64(len(pkts)) * d.cfg.txCycles()
-	d.k.SubmitSoftIRQOn(coreID, "net_tx", cycles, func() {
-		for _, p := range pkts {
-			// Transmit hands the packet to the link, which owns (and may
-			// release) it from then on — read the size first.
-			ws := p.WireSize()
-			if d.dev.Transmit(p) && d.swTxc != nil {
-				d.swTxc.Add(ws)
-			}
+	d.k.SubmitSoftIRQOn(coreID, "net_tx", cycles, txTransmit, b, nil)
+}
+
+// txTransmit hands a Send batch to the NIC once its NET_TX cost is paid
+// (a0 is the *txBatch).
+func txTransmit(a0, _ any) {
+	b := a0.(*txBatch)
+	d := b.d
+	for _, p := range b.pkts {
+		// Transmit hands the packet to the link, which owns (and may
+		// release) it from then on — read the size first.
+		ws := p.WireSize()
+		if d.dev.Transmit(p) && d.swTxc != nil {
+			d.swTxc.Add(ws)
 		}
-	})
+	}
+	clear(b.pkts) // keep the capacity, drop the frames
+	d.txFree.Put(b)
 }
 
 // swTick is ncap.sw's 1 ms DecisionEngine evaluation (kernel timer).

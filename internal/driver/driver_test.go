@@ -157,7 +157,7 @@ func TestTxPathTransmitsAndCharges(t *testing.T) {
 	r := newRig(PowerHooks{})
 	sink := &txSink{}
 	r.dev.SetLink(netsim.NewLink(r.eng, netsim.DefaultLinkConfig(), sink))
-	pkts := netsim.SegmentResponse(1, 2, 9, 5000)
+	pkts := netsim.SegmentResponse(nil, 1, 2, 9, 5000)
 	r.drv.Send(2, pkts)
 	r.eng.Run(sim.Millisecond)
 	if len(sink.got) != len(pkts) {
@@ -166,6 +166,27 @@ func TestTxPathTransmitsAndCharges(t *testing.T) {
 	// Tx work was charged on core 2.
 	if r.chip.Core(2).BusyTime() == 0 {
 		t.Fatal("tx cycles not charged on core 2")
+	}
+}
+
+// TestSendCopiesBatch: Send copies the frame pointers into its own
+// batch, so the caller may reuse its slice before NET_TX runs.
+func TestSendCopiesBatch(t *testing.T) {
+	r := newRig(PowerHooks{})
+	sink := &txSink{}
+	r.dev.SetLink(netsim.NewLink(r.eng, netsim.DefaultLinkConfig(), sink))
+	scratch := netsim.SegmentResponse(nil, 1, 2, 9, 3000)
+	want := append([]*netsim.Packet(nil), scratch...)
+	r.drv.Send(1, scratch)
+	clear(scratch) // the caller reuses its slice at once
+	r.eng.Run(sim.Millisecond)
+	if len(sink.got) != len(want) {
+		t.Fatalf("transmitted %d, want %d", len(sink.got), len(want))
+	}
+	for i, p := range sink.got {
+		if p != want[i] {
+			t.Fatalf("frame %d is not the one sent", i)
+		}
 	}
 }
 

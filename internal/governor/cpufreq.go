@@ -38,7 +38,9 @@ type Ondemand struct {
 	upThreshold float64
 	invoke      Invoker
 	ticker      *sim.Ticker
+	sampleFn    func() // o.sample, bound once at Start so a tick does not allocate
 	snapshots   []sim.Duration
+	util        []float64
 	lastSample  sim.Time
 	inhibitTil  sim.Time
 
@@ -70,7 +72,12 @@ func (o *Ondemand) Period() sim.Duration { return o.period }
 
 // Start begins periodic sampling.
 func (o *Ondemand) Start() {
-	_, o.snapshots = o.chip.Utilization(nil, 0)
+	if o.snapshots == nil {
+		n := len(o.chip.Cores())
+		o.snapshots, o.util = make([]sim.Duration, n), make([]float64, n)
+		o.sampleFn = o.sample
+	}
+	o.chip.Utilization(o.snapshots, 0, o.util)
 	o.lastSample = o.chip.Engine().Now()
 	o.ticker.Start()
 }
@@ -86,38 +93,39 @@ func (o *Ondemand) Inhibit() {
 }
 
 func (o *Ondemand) tick() {
-	run := func() {
-		now := o.chip.Engine().Now()
-		window := now - o.lastSample
-		util, snaps := o.chip.Utilization(o.snapshots, window)
-		o.snapshots = snaps
-		o.lastSample = now
-		o.Invocations.Inc()
-		if now < o.inhibitTil {
-			return
-		}
-		if o.chip.PerCoreDVFS() {
-			// Per-core DVFS domains (the multi-queue extension): each
-			// core's domain is steered by its own utilization.
-			for i, core := range o.chip.Cores() {
-				o.decide(core.Domain(), util[i])
-			}
-			return
-		}
-		// Chip-wide: the busiest core sets the shared frequency.
-		max := 0.0
-		for _, u := range util {
-			if u > max {
-				max = u
-			}
-		}
-		o.decide(o.chip.Domains()[0], max)
-	}
 	if o.invoke != nil {
-		o.invoke(OndemandInvokeCycles, run)
+		o.invoke(OndemandInvokeCycles, o.sampleFn)
 	} else {
-		run()
+		o.sample()
 	}
+}
+
+// sample is one invocation's body: sample utilization, then decide.
+func (o *Ondemand) sample() {
+	now := o.chip.Engine().Now()
+	window := now - o.lastSample
+	o.chip.Utilization(o.snapshots, window, o.util)
+	o.lastSample = now
+	o.Invocations.Inc()
+	if now < o.inhibitTil {
+		return
+	}
+	if o.chip.PerCoreDVFS() {
+		// Per-core DVFS domains (the multi-queue extension): each
+		// core's domain is steered by its own utilization.
+		for i, core := range o.chip.Cores() {
+			o.decide(core.Domain(), o.util[i])
+		}
+		return
+	}
+	// Chip-wide: the busiest core sets the shared frequency.
+	max := 0.0
+	for _, u := range o.util {
+		if u > max {
+			max = u
+		}
+	}
+	o.decide(o.chip.Domains()[0], max)
 }
 
 // decide applies the ondemand rule to one DVFS domain: jump to the

@@ -1,7 +1,7 @@
 package governor
 
 import (
-	"sort"
+	"slices"
 
 	"ncap/internal/cpu"
 	"ncap/internal/power"
@@ -151,11 +151,10 @@ func (m *Menu) predict(coreID int) sim.Duration {
 		}
 		return sim.Second // no information: assume long idle
 	}
-	vals := make([]sim.Duration, s.n)
-	copy(vals, s.recent[:s.n])
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	vals := s.recent // a stack copy: sorting it leaves the history intact
+	slices.Sort(vals[:s.n])
 	shorts := 0
-	for _, v := range vals {
+	for _, v := range vals[:s.n] {
 		if v < shortIdle {
 			shorts++
 		}

@@ -5,6 +5,7 @@ import (
 
 	"ncap/internal/cpu"
 	"ncap/internal/power"
+	"ncap/internal/race"
 	"ncap/internal/sim"
 )
 
@@ -367,5 +368,27 @@ func TestMenuPerCoreDisable(t *testing.T) {
 	m.EnableCore(0)
 	if got := m.SelectIdleState(c0); got != power.C6 {
 		t.Fatalf("re-enabled core selected %v, want C6", got)
+	}
+}
+
+// TestMenuPredictDoesNotAllocate: the idle-interval prediction sorts a
+// stack copy of the history, so selecting an idle state is free.
+func TestMenuPredictDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	eng := sim.NewEngine()
+	chip := newChip(eng)
+	m := NewMenu(chip, nil)
+	core := chip.Core(0)
+	for i := 0; i < menuHistory; i++ {
+		m.OnWake(core, sim.Duration(menuHistory-i)*sim.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.SelectIdleState(core) }); allocs != 0 {
+		t.Fatalf("SelectIdleState allocates %.1f objects", allocs)
+	}
+	// The history itself stays in arrival order.
+	if got := m.perCore[0].recent[0]; got != menuHistory*sim.Millisecond {
+		t.Fatalf("history slot 0 = %v after predict, want %v", got, menuHistory*sim.Millisecond)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ncap/internal/race"
 	"ncap/internal/sim"
 )
 
@@ -41,7 +42,7 @@ func TestHeaderConstantsMatchPaper(t *testing.T) {
 }
 
 func TestSegmentResponse(t *testing.T) {
-	pkts := SegmentResponse(1, 2, 7, 3000)
+	pkts := SegmentResponse(nil, 1, 2, 7, 3000)
 	if len(pkts) != 3 { // 1448+1448+104
 		t.Fatalf("segments = %d, want 3", len(pkts))
 	}
@@ -61,11 +62,34 @@ func TestSegmentResponse(t *testing.T) {
 }
 
 func TestSegmentResponseSmallAndZero(t *testing.T) {
-	if got := SegmentResponse(1, 2, 1, 100); len(got) != 1 || got[0].PayloadLen != 100 {
+	if got := SegmentResponse(nil, 1, 2, 1, 100); len(got) != 1 || got[0].PayloadLen != 100 {
 		t.Fatalf("small response: %+v", got)
 	}
-	if got := SegmentResponse(1, 2, 1, 0); len(got) != 1 || got[0].PayloadLen != 1 {
+	if got := SegmentResponse(nil, 1, 2, 1, 0); len(got) != 1 || got[0].PayloadLen != 1 {
 		t.Fatalf("zero-byte response must still emit one frame: %+v", got)
+	}
+}
+
+// TestSegmentResponseAppends: segments append after the caller's
+// prefix, so a reused scratch slice segments without allocating.
+func TestSegmentResponseAppends(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	head := AllocPacket()
+	buf := SegmentResponse([]*Packet{head}, 1, 2, 7, 2*MSS)
+	if len(buf) != 3 || buf[0] != head || buf[1].Seg != 0 || buf[2].Seg != 1 || buf[2].SegCount != 2 {
+		t.Fatalf("appended segments wrong: %+v", buf)
+	}
+	scratch := make([]*Packet, 0, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		scratch = SegmentResponse(scratch[:0], 1, 2, 7, 5*MSS)
+		for _, p := range scratch {
+			p.Release()
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("segmenting into scratch allocates %.1f objects", allocs)
 	}
 }
 
@@ -73,7 +97,7 @@ func TestSegmentResponseSmallAndZero(t *testing.T) {
 func TestSegmentationProperty(t *testing.T) {
 	f := func(raw uint32) bool {
 		body := int(raw%10_000_000) + 1
-		pkts := SegmentResponse(1, 2, 1, body)
+		pkts := SegmentResponse(nil, 1, 2, 1, body)
 		total := 0
 		for _, p := range pkts {
 			if p.PayloadLen <= 0 || p.PayloadLen > MSS {

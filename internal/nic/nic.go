@@ -19,7 +19,6 @@ package nic
 
 import (
 	"fmt"
-	"strings"
 
 	"ncap/internal/audit"
 	"ncap/internal/core"
@@ -434,27 +433,19 @@ func (q *Queue) post(cause uint32, urgent bool) {
 	}
 	q.n.trace.Emit(telemetry.Event{
 		T: q.n.eng.Now(), Comp: "nic", Kind: "irq", Core: q.id,
-		V: float64(cause), Detail: causeString(cause),
+		V: float64(cause), Detail: causeNames[cause&(ITRx|ITTx|ITHigh|ITLow)],
 	})
 	q.irq()
 }
 
-// causeString renders ICR cause bits for event traces.
-func causeString(cause uint32) string {
-	var parts []string
-	if cause&ITRx != 0 {
-		parts = append(parts, "rx")
-	}
-	if cause&ITTx != 0 {
-		parts = append(parts, "tx")
-	}
-	if cause&ITHigh != 0 {
-		parts = append(parts, "it_high")
-	}
-	if cause&ITLow != 0 {
-		parts = append(parts, "it_low")
-	}
-	return strings.Join(parts, "+")
+// causeNames renders every combination of the four ICR cause bits for
+// event traces, indexed by the bits themselves, so posting an interrupt
+// never builds a string.
+var causeNames = [16]string{
+	"", "rx", "tx", "rx+tx",
+	"it_high", "rx+it_high", "tx+it_high", "rx+tx+it_high",
+	"it_low", "rx+it_low", "tx+it_low", "rx+tx+it_low",
+	"it_high+it_low", "rx+it_high+it_low", "tx+it_high+it_low", "rx+tx+it_high+it_low",
 }
 
 func (q *Queue) mittExpired() {

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"strings"
 	"testing"
 
 	"ncap/internal/core"
@@ -277,7 +278,7 @@ func TestTransmitCountsAndNCAPTxCnt(t *testing.T) {
 	n.EnableNCAP(core.DefaultConfig(), &chipStub{})
 	sink := &recvSink{}
 	n.SetLink(netsim.NewLink(eng, netsim.DefaultLinkConfig(), sink))
-	pkts := netsim.SegmentResponse(1, 2, 9, 4000)
+	pkts := netsim.SegmentResponse(nil, 1, 2, 9, 4000)
 	for _, p := range pkts {
 		if !n.Transmit(p) {
 			t.Fatal("transmit failed")
@@ -342,5 +343,25 @@ func TestDMASerializesTransfers(t *testing.T) {
 	eng.Run(25 * sim.Microsecond)
 	if n.RxPending() != 2 {
 		t.Fatalf("pending after 25µs = %d, want 2", n.RxPending())
+	}
+}
+
+// TestCauseNamesMatchBits: the trace-detail table renders every cause
+// combination exactly as joining the set bits' names would.
+func TestCauseNamesMatchBits(t *testing.T) {
+	bits := []struct {
+		bit  uint32
+		name string
+	}{{ITRx, "rx"}, {ITTx, "tx"}, {ITHigh, "it_high"}, {ITLow, "it_low"}}
+	for cause := uint32(0); cause < 16; cause++ {
+		var parts []string
+		for _, b := range bits {
+			if cause&b.bit != 0 {
+				parts = append(parts, b.name)
+			}
+		}
+		if want := strings.Join(parts, "+"); causeNames[cause] != want {
+			t.Errorf("causeNames[%#x] = %q, want %q", cause, causeNames[cause], want)
+		}
 	}
 }

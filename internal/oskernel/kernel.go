@@ -43,14 +43,16 @@ func (k *Kernel) IRQCore() int { return k.irqCore }
 // IRQ is a registered hardware interrupt line. Asserting it queues the
 // handler on its affinity core; further assertions while the handler is
 // queued are coalesced, matching level-triggered ICR semantics — the
-// handler reads all accumulated causes in one go.
+// handler reads all accumulated causes in one go. Coalescing also means
+// at most one handler run is in flight, so the line owns one prebuilt
+// Work item and resubmits it on every assertion.
 type IRQ struct {
 	k       *Kernel
-	name    string
 	coreID  int
 	cycles  int64
 	handler func()
 	pending bool
+	work    cpu.Work
 }
 
 // NewIRQ registers an interrupt line with default affinity (core 0).
@@ -69,7 +71,9 @@ func (k *Kernel) NewIRQOn(coreID int, name string, cycles int64, handler func())
 	if coreID < 0 || coreID >= len(k.chip.Cores()) {
 		panic(fmt.Sprintf("oskernel: IRQ affinity core %d out of range", coreID))
 	}
-	return &IRQ{k: k, name: name, coreID: coreID, cycles: cycles, handler: handler}
+	i := &IRQ{k: k, coreID: coreID, cycles: cycles, handler: handler}
+	i.work = cpu.Work{Name: name, Prio: cpu.PrioIRQ, OnDone: irqDone, A0: i}
+	return i
 }
 
 // Core returns the IRQ's affinity core.
@@ -82,26 +86,27 @@ func (i *IRQ) Assert() {
 	}
 	i.pending = true
 	i.k.HardIRQs.Inc()
-	i.k.chip.Core(i.coreID).Submit(&cpu.Work{
-		Name:   i.name,
-		Cycles: i.cycles,
-		Prio:   cpu.PrioIRQ,
-		OnDone: func() {
-			i.pending = false
-			i.handler()
-		},
-	})
+	i.work.Cycles = i.cycles
+	i.k.chip.Core(i.coreID).Submit(&i.work)
+}
+
+// irqDone runs the handler once its cycles are spent (a0 is the *IRQ).
+func irqDone(a0, _ any) {
+	i := a0.(*IRQ)
+	i.pending = false
+	i.handler()
 }
 
 // SoftIRQ is a deferred-work vector (NET_RX-style). Raising it queues the
-// handler at softirq priority on its core; raises while queued coalesce.
+// handler at softirq priority on its core; raises while queued coalesce,
+// so like IRQ it owns one prebuilt Work item for the handler run.
 type SoftIRQ struct {
 	k      *Kernel
-	name   string
 	coreID int
 	cycles int64
 	fn     func()
 	raised bool
+	work   cpu.Work
 }
 
 // NewSoftIRQ registers a softirq vector on the given core. cycles is the
@@ -110,7 +115,9 @@ func (k *Kernel) NewSoftIRQ(name string, coreID int, cycles int64, fn func()) *S
 	if fn == nil {
 		panic("oskernel: NewSoftIRQ with nil fn")
 	}
-	return &SoftIRQ{k: k, name: name, coreID: coreID, cycles: cycles, fn: fn}
+	s := &SoftIRQ{k: k, coreID: coreID, cycles: cycles, fn: fn}
+	s.work = cpu.Work{Name: name, Prio: cpu.PrioSoftIRQ, OnDone: softIRQDone, A0: s}
+	return s
 }
 
 // Raise schedules the softirq.
@@ -120,31 +127,30 @@ func (s *SoftIRQ) Raise() {
 	}
 	s.raised = true
 	s.k.SoftIRQs.Inc()
-	s.k.chip.Core(s.coreID).Submit(&cpu.Work{
-		Name:   s.name,
-		Cycles: s.cycles,
-		Prio:   cpu.PrioSoftIRQ,
-		OnDone: func() {
-			s.raised = false
-			s.fn()
-		},
-	})
+	s.work.Cycles = s.cycles
+	s.k.chip.Core(s.coreID).Submit(&s.work)
 }
 
-// Run executes fn as softirq-context work of the given cycle cost on the
-// vector's core, without coalescing — the per-packet portion of a poll.
-func (s *SoftIRQ) Run(cycles int64, fn func()) {
-	s.k.chip.Core(s.coreID).Submit(&cpu.Work{
-		Name:   s.name,
-		Cycles: cycles,
-		Prio:   cpu.PrioSoftIRQ,
-		OnDone: fn,
-	})
+// softIRQDone runs the vector's handler (a0 is the *SoftIRQ).
+func softIRQDone(a0, _ any) {
+	s := a0.(*SoftIRQ)
+	s.raised = false
+	s.fn()
+}
+
+// Run executes fn(a0, a1) as softirq-context work of the given cycle cost
+// on the vector's core, without coalescing — the per-packet portion of a
+// poll.
+func (s *SoftIRQ) Run(cycles int64, fn func(a0, a1 any), a0, a1 any) {
+	s.k.chip.Core(s.coreID).SubmitArg(s.work.Name, cycles, cpu.PrioSoftIRQ, fn, a0, a1)
 }
 
 // Timer is a high-resolution kernel timer pinned to a core. Expiry runs
 // the callback as IRQ-priority work (the timer interrupt), waking the core
 // if needed. Its deadline is visible to the menu governor via TimerHint.
+// A periodic timer can expire again while its previous handler run is
+// still queued, so expiries draw pooled Work from the core rather than
+// owning one item.
 type Timer struct {
 	k      *Kernel
 	name   string
@@ -192,12 +198,7 @@ func (t *Timer) expire() {
 	if t.period > 0 {
 		t.inner.Arm(t.period)
 	}
-	t.k.chip.Core(t.coreID).Submit(&cpu.Work{
-		Name:   t.name,
-		Cycles: t.cycles,
-		Prio:   cpu.PrioIRQ,
-		OnDone: t.fn,
-	})
+	t.k.chip.Core(t.coreID).SubmitArg(t.name, t.cycles, cpu.PrioIRQ, cpu.RunFunc, t.fn, nil)
 }
 
 // NextTimerDelay returns the delay until the earliest armed timer on the
@@ -225,10 +226,11 @@ func (k *Kernel) TimerHint() func(coreID int) sim.Duration {
 	return k.NextTimerDelay
 }
 
-// SubmitTask places application work on the least-loaded core: an idle
-// core if one exists, otherwise the shortest task queue — a simplified
-// CFS placement.
-func (k *Kernel) SubmitTask(name string, cycles int64, onDone func()) *cpu.Core {
+// SubmitTask places application work, fn(a0, a1) after cycles, on the
+// least-loaded core: an idle core if one exists, otherwise the shortest
+// task queue — a simplified CFS placement. It returns the chosen core;
+// fn runs later, so a caller may record the core in a0 before then.
+func (k *Kernel) SubmitTask(name string, cycles int64, fn func(a0, a1 any), a0, a1 any) *cpu.Core {
 	cores := k.chip.Cores()
 	best := cores[0]
 	bestScore := placementScore(best)
@@ -237,21 +239,21 @@ func (k *Kernel) SubmitTask(name string, cycles int64, onDone func()) *cpu.Core 
 			best, bestScore = c, s
 		}
 	}
-	best.Submit(&cpu.Work{Name: name, Cycles: cycles, Prio: cpu.PrioTask, OnDone: onDone})
+	best.SubmitArg(name, cycles, cpu.PrioTask, fn, a0, a1)
 	return best
 }
 
 // SubmitTaskOn pins application work to a specific core.
-func (k *Kernel) SubmitTaskOn(coreID int, name string, cycles int64, onDone func()) {
-	k.chip.Core(coreID).Submit(&cpu.Work{Name: name, Cycles: cycles, Prio: cpu.PrioTask, OnDone: onDone})
+func (k *Kernel) SubmitTaskOn(coreID int, name string, cycles int64, fn func(a0, a1 any), a0, a1 any) {
+	k.chip.Core(coreID).SubmitArg(name, cycles, cpu.PrioTask, fn, a0, a1)
 }
 
 // SubmitSoftIRQOn runs work at softirq priority on a specific core —
 // deferred kernel work (NET_TX transmission) that preempts application
 // tasks but yields to hard interrupts.
-func (k *Kernel) SubmitSoftIRQOn(coreID int, name string, cycles int64, onDone func()) {
+func (k *Kernel) SubmitSoftIRQOn(coreID int, name string, cycles int64, fn func(a0, a1 any), a0, a1 any) {
 	k.SoftIRQs.Inc()
-	k.chip.Core(coreID).Submit(&cpu.Work{Name: name, Cycles: cycles, Prio: cpu.PrioSoftIRQ, OnDone: onDone})
+	k.chip.Core(coreID).SubmitArg(name, cycles, cpu.PrioSoftIRQ, fn, a0, a1)
 }
 
 func placementScore(c *cpu.Core) int {

@@ -56,7 +56,7 @@ func TestIRQPreemptsRunningTask(t *testing.T) {
 	eng := sim.NewEngine()
 	k := newKernel(eng)
 	var irqDone, taskDone sim.Time
-	k.SubmitTaskOn(0, "task", 31_000_000, func() { taskDone = eng.Now() }) // 10 ms
+	k.SubmitTaskOn(0, "task", 31_000_000, cpu.RunFunc, func() { taskDone = eng.Now() }, nil) // 10 ms
 	irq := k.NewIRQ("nic", 3100, func() { irqDone = eng.Now() })
 	eng.At(sim.Millisecond, func() { irq.Assert() })
 	eng.Run(sim.Second)
@@ -81,8 +81,8 @@ func TestSoftIRQCoalescingAndRun(t *testing.T) {
 	}
 	// Run executes without coalescing.
 	extra := 0
-	s.Run(3100, func() { extra++ })
-	s.Run(3100, func() { extra++ })
+	s.Run(3100, cpu.RunFunc, func() { extra++ }, nil)
+	s.Run(3100, cpu.RunFunc, func() { extra++ }, nil)
 	eng.Run(2 * sim.Millisecond)
 	if extra != 2 {
 		t.Fatalf("Run executed %d, want 2", extra)
@@ -193,10 +193,10 @@ func TestSubmitTaskPrefersIdleCore(t *testing.T) {
 	eng := sim.NewEngine()
 	k := newKernel(eng)
 	// Saturate cores 0 and 1.
-	k.SubmitTaskOn(0, "busy0", 1<<40, nil)
-	k.SubmitTaskOn(1, "busy1", 1<<40, nil)
+	k.SubmitTaskOn(0, "busy0", 1<<40, nil, nil, nil)
+	k.SubmitTaskOn(1, "busy1", 1<<40, nil, nil, nil)
 	eng.Run(sim.Microsecond)
-	got := k.SubmitTask("t", 3100, nil)
+	got := k.SubmitTask("t", 3100, nil, nil, nil)
 	if got.ID() == 0 || got.ID() == 1 {
 		t.Fatalf("task placed on busy core %d", got.ID())
 	}
@@ -207,7 +207,7 @@ func TestSubmitTaskBalancesQueues(t *testing.T) {
 	k := newKernel(eng)
 	counts := map[int]int{}
 	for i := 0; i < 100; i++ {
-		c := k.SubmitTask("t", 1<<40, nil)
+		c := k.SubmitTask("t", 1<<40, nil, nil, nil)
 		counts[c.ID()]++
 	}
 	for id, n := range counts {
@@ -262,10 +262,10 @@ func TestSubmitSoftIRQOnPreemptsTasks(t *testing.T) {
 	k := newKernel(eng)
 	var order []string
 	// A long task queue, then softirq work submitted behind it.
-	k.SubmitTaskOn(1, "t1", 3_100_000, func() { order = append(order, "t1") })
-	k.SubmitTaskOn(1, "t2", 3_100_000, func() { order = append(order, "t2") })
+	k.SubmitTaskOn(1, "t1", 3_100_000, cpu.RunFunc, func() { order = append(order, "t1") }, nil)
+	k.SubmitTaskOn(1, "t2", 3_100_000, cpu.RunFunc, func() { order = append(order, "t2") }, nil)
 	eng.Schedule(100*sim.Microsecond, func() {
-		k.SubmitSoftIRQOn(1, "net_tx", 3100, func() { order = append(order, "tx") })
+		k.SubmitSoftIRQOn(1, "net_tx", 3100, cpu.RunFunc, func() { order = append(order, "tx") }, nil)
 	})
 	eng.Run(sim.Second)
 	// net_tx preempts t1's remainder? No: softirq preempts only QUEUED

@@ -400,3 +400,20 @@ func TestTimeFormatting(t *testing.T) {
 		t.Fatalf("Millis = %v", got)
 	}
 }
+
+// TestFreeListReuses: Get hands back the most recently Put record, and a
+// fresh zero record once the list is empty.
+func TestFreeListReuses(t *testing.T) {
+	var fl FreeList[Event]
+	a := fl.Get()
+	if a == nil || a.when != 0 {
+		t.Fatal("empty list must return a new zero record")
+	}
+	fl.Put(a)
+	if b := fl.Get(); b != a {
+		t.Fatal("Get did not reuse the recycled record")
+	}
+	if c := fl.Get(); c == a {
+		t.Fatal("a record was handed out twice")
+	}
+}

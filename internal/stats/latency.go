@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ncap/internal/sim"
 )
@@ -118,7 +118,7 @@ func (l *LatencyRecorder) Reset() {
 
 func (l *LatencyRecorder) sort() {
 	if !l.sorted {
-		sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
+		slices.Sort(l.samples)
 		l.sorted = true
 	}
 }

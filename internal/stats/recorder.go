@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 
 	"ncap/internal/sim"
 )
@@ -38,7 +39,9 @@ func (l *LatencyRecorder) Merge(other Recorder) {
 	if !ok {
 		panic(fmt.Sprintf("stats: cannot merge %T into LatencyRecorder", other))
 	}
-	for _, d := range s.Samples() {
+	samples := s.Samples()
+	l.samples = slices.Grow(l.samples, len(samples)) // grow once, not per sample
+	for _, d := range samples {
 		l.Record(d)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ncap/internal/race"
 	"ncap/internal/sim"
 )
 
@@ -260,5 +261,37 @@ func TestLatencyAgainstSortReference(t *testing.T) {
 		if got := l.Percentile(p); got != want {
 			t.Errorf("P%v = %v, want %v", p, got, want)
 		}
+	}
+}
+
+// TestLatencyMergeGrowsOnce: Merge reserves room for the other
+// recorder's samples in one step and yields the same percentiles and
+// mean as recording every sample directly.
+func TestLatencyMergeGrowsOnce(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(5))
+	a, b, direct := NewLatencyRecorder(), NewLatencyRecorder(), NewLatencyRecorder()
+	for i := 0; i < 3000; i++ {
+		d := sim.Duration(rng.Int63n(1e8))
+		if i%3 == 0 {
+			a.Record(d)
+		} else {
+			b.Record(d)
+		}
+		direct.Record(d)
+	}
+	var merged LatencyRecorder
+	allocs := testing.AllocsPerRun(10, func() {
+		merged = LatencyRecorder{}
+		merged.Merge(a)
+		merged.Merge(b)
+	})
+	if allocs > 2 {
+		t.Fatalf("merging two recorders allocated %.0f times, want one growth each", allocs)
+	}
+	if merged.Summarize() != direct.Summarize() {
+		t.Fatalf("merged summary %+v, want %+v", merged.Summarize(), direct.Summarize())
 	}
 }
