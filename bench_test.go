@@ -413,23 +413,23 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
 	var next func()
-	next = func() { eng.Schedule(sim.Microsecond, next) }
-	eng.Schedule(0, next)
+	next = func() { eng.Schedule(sim.Microsecond, sim.Call, next, nil) }
+	eng.Schedule(0, sim.Call, next, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Step()
 	}
 }
 
-// BenchmarkEngineScheduleArg is the closure-free fast path: steady-state
-// schedule+fire through the pooled-event trampoline API. The regression
-// gate holds this at zero allocs/op.
+// BenchmarkEngineScheduleArg is the closure-free path: steady-state
+// schedule+fire of a func(a0, a1 any) carrying its argument in the pooled
+// event. The regression gate holds this at zero allocs/op.
 func BenchmarkEngineScheduleArg(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
-	var next func(any)
-	next = func(arg any) { eng.ScheduleArg(sim.Microsecond, next, arg) }
-	eng.ScheduleArg(0, next, nil)
+	var next func(a0, a1 any)
+	next = func(a0, _ any) { eng.Schedule(sim.Microsecond, next, a0, nil) }
+	eng.Schedule(0, next, eng, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Step()
@@ -442,7 +442,7 @@ func BenchmarkEngineScheduleArg(b *testing.B) {
 func BenchmarkEngineCancelStorm(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
-	nop := func(any) {}
+	nop := func(_, _ any) {}
 	delays := []sim.Duration{
 		500 * sim.Nanosecond,  // near heap
 		30 * sim.Microsecond,  // level 0
@@ -453,7 +453,7 @@ func BenchmarkEngineCancelStorm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var hs [4]sim.Handle
 		for j, d := range delays {
-			hs[j] = eng.ScheduleArg(d, nop, nil)
+			hs[j] = eng.Schedule(d, nop, nil, nil)
 		}
 		for _, h := range hs {
 			h.Cancel()
@@ -466,11 +466,11 @@ func BenchmarkEngineCancelStorm(b *testing.B) {
 func BenchmarkEngineMixedHorizonDrain(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
-	nop := func(any) {}
+	nop := func(_, _ any) {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for lvl := uint(0); lvl < 48; lvl += 2 {
-			eng.ScheduleArg(sim.Duration(1)<<lvl, nop, nil)
+			eng.Schedule(sim.Duration(1)<<lvl, nop, nil, nil)
 		}
 		for eng.Step() {
 		}

@@ -87,7 +87,7 @@ func TestDiskConcurrencyAndQueueing(t *testing.T) {
 	d := NewDisk(eng, rng, sim.Millisecond, 2)
 	done := 0
 	for i := 0; i < 6; i++ {
-		d.Read(cpu.RunFunc, func() { done++ }, nil)
+		d.Read(sim.Call, func() { done++ }, nil)
 	}
 	if d.Inflight() != 2 || d.Queued() != 4 {
 		t.Fatalf("inflight=%d queued=%d, want 2/4", d.Inflight(), d.Queued())
@@ -114,7 +114,7 @@ func TestDiskMeanServiceTime(t *testing.T) {
 	remaining := n
 	var issue func()
 	issue = func() {
-		d.Read(cpu.RunFunc, func() {
+		d.Read(sim.Call, func() {
 			total += eng.Now() - last
 			last = eng.Now()
 			remaining--

@@ -49,14 +49,14 @@ func (b *BulkSender) Start() {
 		return
 	}
 	b.running = true
-	b.eng.ScheduleArg(b.gap, bulkEmit, b)
+	b.eng.Schedule(b.gap, bulkEmit, b, nil)
 }
 
 // Stop halts emission.
 func (b *BulkSender) Stop() { b.running = false }
 
 // bulkEmit is the allocation-free rearm trampoline (arg is the *BulkSender).
-func bulkEmit(arg any) { arg.(*BulkSender).emit() }
+func bulkEmit(a0, _ any) { a0.(*BulkSender).emit() }
 
 func (b *BulkSender) emit() {
 	if !b.running {
@@ -68,5 +68,5 @@ func (b *BulkSender) emit() {
 	pkt.Seg, pkt.SegCount = 0, 1
 	b.uplink.Send(pkt)
 	b.Packets.Inc()
-	b.eng.ScheduleArg(b.gap, bulkEmit, b)
+	b.eng.Schedule(b.gap, bulkEmit, b, nil)
 }

@@ -197,7 +197,7 @@ func (c *Client) Start() {
 	if c.Replay {
 		return
 	}
-	c.eng.ScheduleArg(c.cfg.StartOffset, clientBurst, c)
+	c.eng.Schedule(c.cfg.StartOffset, clientBurst, c, nil)
 }
 
 // Stop halts burst emission (outstanding requests keep completing).
@@ -226,8 +226,8 @@ func (c *Client) PacingFires() uint64 { return c.pacingFires }
 
 // clientBurst and clientSendNew are the allocation-free trampolines for
 // the per-burst and per-request schedule paths (arg is the *Client).
-func clientBurst(arg any)   { arg.(*Client).burst() }
-func clientSendNew(arg any) { arg.(*Client).sendNew() }
+func clientBurst(a0, _ any)   { a0.(*Client).burst() }
+func clientSendNew(a0, _ any) { a0.(*Client).sendNew() }
 
 func (c *Client) burst() {
 	c.pacingFires++
@@ -236,12 +236,12 @@ func (c *Client) burst() {
 	}
 	for i := 0; i < c.cfg.BurstSize; i++ {
 		delay := sim.Duration(i) * c.cfg.Spacing
-		c.eng.ScheduleArg(delay, clientSendNew, c)
+		c.eng.Schedule(delay, clientSendNew, c, nil)
 	}
 	// Small deterministic jitter (±5%) keeps multi-client bursts from
 	// locking into perfect alignment.
 	jitter := c.rng.Duration(0, c.cfg.Period/10) - c.cfg.Period/20
-	c.eng.ScheduleArg(c.cfg.Period+jitter, clientBurst, c)
+	c.eng.Schedule(c.cfg.Period+jitter, clientBurst, c, nil)
 }
 
 func (c *Client) sendNew() {
@@ -314,7 +314,7 @@ type ReplayItem struct {
 
 // ReplayFire is the engine trampoline for scheduled trace sends (arg is
 // the *ReplayItem).
-func ReplayFire(arg any) { it := arg.(*ReplayItem); it.C.replaySend(it) }
+func ReplayFire(a0, _ any) { it := a0.(*ReplayItem); it.C.replaySend(it) }
 
 func (c *Client) replaySend(it *ReplayItem) {
 	c.pacingFires++
@@ -398,7 +398,7 @@ func (c *Client) transmit(pr *pendingReq) {
 		return
 	}
 	pr.timer.Cancel()
-	pr.timer = c.eng.ScheduleArg2(to, clientTimeout, c, pr)
+	pr.timer = c.eng.Schedule(to, clientTimeout, c, pr)
 }
 
 // clientTimeout is the RTO/deadline expiry trampoline (a0 is the

@@ -88,7 +88,7 @@ func (c *ClosedLoopClient) send() {
 
 // closedLoopSend issues the next request after think time (arg is the
 // *ClosedLoopClient).
-func closedLoopSend(arg any) { arg.(*ClosedLoopClient).send() }
+func closedLoopSend(a0, _ any) { a0.(*ClosedLoopClient).send() }
 
 // Receive implements netsim.Receiver. Multi-segment responses complete on
 // the final segment. Delivered frames are released on every path.
@@ -111,7 +111,7 @@ func (c *ClosedLoopClient) Receive(p *netsim.Packet) {
 	}
 	// The defining closed-loop property: issuance waits for completion.
 	if c.think > 0 {
-		c.eng.ScheduleArg(c.rng.Exp(c.think), closedLoopSend, c)
+		c.eng.Schedule(c.rng.Exp(c.think), closedLoopSend, c, nil)
 	} else {
 		c.send()
 	}

@@ -67,13 +67,13 @@ func (d *Disk) Queued() int { return len(d.queue) - d.qHead }
 
 func (d *Disk) begin(acc *diskAccess) {
 	d.inflight++
-	d.eng.ScheduleArg(d.rng.Exp(d.mean), diskComplete, acc)
+	d.eng.Schedule(d.rng.Exp(d.mean), diskComplete, acc, nil)
 }
 
 // diskComplete finishes an access and starts the next queued one (arg is
 // the *diskAccess).
-func diskComplete(arg any) {
-	acc := arg.(*diskAccess)
+func diskComplete(a0, _ any) {
+	acc := a0.(*diskAccess)
 	d := acc.d
 	done, a0, a1 := acc.done, acc.a0, acc.a1
 	*acc = diskAccess{}

@@ -251,7 +251,7 @@ func (c *Cluster) addServerNode(eng *sim.Engine, group, label string, rack int, 
 	// Governors.
 	if cfg.Policy.UsesOndemand() {
 		invoke := func(cycles int64, fn func()) {
-			n.Chip.Core(0).SubmitArg("ondemand", cycles, cpu.PrioIRQ, cpu.RunFunc, fn, nil)
+			n.Chip.Core(0).SubmitArg("ondemand", cycles, cpu.PrioIRQ, sim.Call, fn, nil)
 		}
 		n.Ond = governor.NewOndemand(n.Chip, cfg.OndemandPeriod, invoke)
 	}

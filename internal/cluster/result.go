@@ -250,14 +250,13 @@ func (c *Cluster) Run() Result {
 	return res
 }
 
-// mergeClientStats refreshes the client-side request accounting (latency
+// mergeClientStats fills the client-side request accounting (latency
 // distribution, completion counters) after the drain window. ServedRPS is
 // deliberately left at its measure-window value: completions landing in
 // the drain belong in the latency distribution (their requests were sent
 // inside the window) but would overstate the service *rate*.
 func (c *Cluster) mergeClientStats(res *Result) {
-	merged := stats.NewRecorder()
-	res.Sent, res.Completed, res.Retransmits, res.Abandoned = 0, 0, 0, 0
+	merged := stats.NewLatencyRecorder()
 	for _, cl := range c.Clients {
 		merged.Merge(cl.Latency())
 		res.Sent += cl.Sent.Value()
@@ -323,7 +322,7 @@ func (c *Cluster) collectFleet(res *Result, nodeEnergy []float64) {
 			gr.AvgPowerW = gr.EnergyJ / cfg.Measure.Seconds()
 		} else {
 			gr.Nodes = len(cg.clients)
-			merged := stats.NewRecorder()
+			merged := stats.NewLatencyRecorder()
 			for _, ci := range cg.clients {
 				cl := c.Clients[ci]
 				merged.Merge(cl.Latency())
@@ -386,26 +385,20 @@ func (c *Cluster) collect(energyJ float64) Result {
 			events -= cl.PacingFires()
 		}
 	}
-	merged := stats.NewRecorder()
-	var sent, completed, retrans, abandoned int64
+	// The latency distribution and request counters are filled after the
+	// drain (mergeClientStats); only the service rate is read here.
+	var completed int64
 	for _, cl := range c.Clients {
-		merged.Merge(cl.Latency())
-		sent += cl.Sent.Value()
 		completed += cl.Completed.Value()
-		retrans += cl.Retransmits.Value()
-		abandoned += cl.Abandoned.Value()
 	}
 
 	res := Result{
-		Policy:    cfg.Policy,
-		Workload:  cfg.Workload.Name,
-		LoadRPS:   cfg.LoadRPS,
-		Latency:   merged.Summarize(),
-		EnergyJ:   energyJ,
-		AvgPowerW: energyJ / cfg.Measure.Seconds(),
-		ServedRPS: float64(completed) / cfg.Measure.Seconds(),
-		Sent:      sent, Completed: completed,
-		Retransmits: retrans, Abandoned: abandoned,
+		Policy:     cfg.Policy,
+		Workload:   cfg.Workload.Name,
+		LoadRPS:    cfg.LoadRPS,
+		EnergyJ:    energyJ,
+		AvgPowerW:  energyJ / cfg.Measure.Seconds(),
+		ServedRPS:  float64(completed) / cfg.Measure.Seconds(),
 		CResidency: map[power.CState]sim.Duration{},
 		CEntries:   map[power.CState]int{},
 		Events:     events,

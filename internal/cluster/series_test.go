@@ -109,7 +109,7 @@ func (deepDecider) OnWake(*cpu.Core, sim.Duration)         {}
 func TestSamplerWakeMarkers(t *testing.T) {
 	r := newSeriesRig(chipWide)
 	r.s.start()
-	r.eng.Schedule(1500*sim.Microsecond, func() { r.wakes = 3 })
+	r.eng.Schedule(1500*sim.Microsecond, sim.Call, func() { r.wakes = 3 }, nil)
 	r.eng.Run(3 * sim.Millisecond)
 	w := r.col(t, "int_wake").Points
 	if w[0].V != 0 || w[1].V != 3 || w[2].V != 0 {
@@ -122,7 +122,7 @@ func TestSamplerWakeMarkers(t *testing.T) {
 func TestSamplerFreqTracksChip(t *testing.T) {
 	r := newSeriesRig(chipWide)
 	r.s.start()
-	r.eng.Schedule(1500*sim.Microsecond, func() { r.chip.SetPState(r.chip.Table().Min()) })
+	r.eng.Schedule(1500*sim.Microsecond, sim.Call, func() { r.chip.SetPState(r.chip.Table().Min()) }, nil)
 	r.eng.Run(3 * sim.Millisecond)
 	freq := r.col(t, "freq_ghz")
 	if got := freq.Points[0].V; got != 3.1 {
@@ -137,7 +137,7 @@ func TestSamplerFreqTracksChip(t *testing.T) {
 		return cpu.NewPerCore(eng, 4, tab, power.DefaultModel(), tab.Max())
 	})
 	r.s.start()
-	r.eng.Schedule(1500*sim.Microsecond, func() { r.chip.Core(0).Domain().SetPState(r.chip.Table().Min()) })
+	r.eng.Schedule(1500*sim.Microsecond, sim.Call, func() { r.chip.Core(0).Domain().SetPState(r.chip.Table().Min()) }, nil)
 	r.eng.Run(3 * sim.Millisecond)
 	if got, want := r.col(t, "freq_ghz").Points[2].V, (0.8+3*3.1)/4; got < want-1e-12 || got > want+1e-12 {
 		t.Fatalf("per-core freq[2] = %v, want %v", got, want)

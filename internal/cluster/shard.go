@@ -40,7 +40,7 @@ import (
 // a serial run would.
 //
 // Determinism: locally, each engine replays the exact serial order
-// (sim.Event ordering is unchanged for local events). Injected
+// (the engine's event order is unchanged for local events). Injected
 // deliveries are ordered by (arrival, send time, link identity, frame
 // index) — every key independent of the shard count and of round timing
 // — so any shard count produces the same execution. Equality against

@@ -93,7 +93,7 @@ func (c *Cluster) scheduleReplay() {
 		// sharded run is the client's shard. Serially every client
 		// reports the primary engine, preserving the historical global
 		// FIFO order exactly.
-		items[i].C.Engine().AtArg(items[i].At, app.ReplayFire, &items[i])
+		items[i].C.Engine().At(items[i].At, app.ReplayFire, &items[i], nil)
 	}
 }
 

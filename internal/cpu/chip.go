@@ -216,7 +216,7 @@ func (d *Domain) SetPState(ps power.PState) {
 	d.target = ps
 	if ps.MilliVolts > d.cur.MilliVolts {
 		ramp, _ := power.UpTransitionDelay(d.cur, ps)
-		d.chip.eng.ScheduleArg(ramp, domainBeginRelock, d)
+		d.chip.eng.Schedule(ramp, domainBeginRelock, d, nil)
 	} else {
 		d.beginRelock()
 	}
@@ -224,8 +224,8 @@ func (d *Domain) SetPState(ps power.PState) {
 
 // Package-level trampolines (arg is the *Domain) keep the frequent DVFS
 // transitions off the closure-allocating schedule path.
-func domainBeginRelock(arg any)      { arg.(*Domain).beginRelock() }
-func domainFinishTransition(arg any) { arg.(*Domain).finishTransition() }
+func domainBeginRelock(a0, _ any)      { a0.(*Domain).beginRelock() }
+func domainFinishTransition(a0, _ any) { a0.(*Domain).finishTransition() }
 
 // Boost requests an immediate transition to P0.
 func (d *Domain) Boost() { d.SetPState(d.chip.table.Max()) }
@@ -239,7 +239,7 @@ func (d *Domain) beginRelock() {
 	for _, core := range d.cores {
 		core.beginStall()
 	}
-	d.chip.eng.ScheduleArg(power.PLLRelock, domainFinishTransition, d)
+	d.chip.eng.Schedule(power.PLLRelock, domainFinishTransition, d, nil)
 }
 
 func (d *Domain) finishTransition() {

@@ -33,8 +33,6 @@ type Core struct {
 	runFrom sim.Time           // when the current execution slice started
 	free    sim.FreeList[Work] // completed SubmitArg items, ready for reuse
 
-	// Handles, not *sim.Event: the engine pools events, so only a Handle
-	// can be retained across fires without risking aliasing a reused one.
 	doneEv sim.Handle
 	wakeEv sim.Handle
 
@@ -176,12 +174,12 @@ func (c *Core) beginWake() {
 		V: float64(slept), Detail: prev.String(),
 	})
 	c.lastSlept = slept
-	c.wakeEv = c.chip.eng.ScheduleArg(exit+power.MwaitWakeOverhead, coreFinishWake, c)
+	c.wakeEv = c.chip.eng.Schedule(exit+power.MwaitWakeOverhead, coreFinishWake, c, nil)
 }
 
 // coreFinishWake completes a C-state exit (arg is the *Core).
-func coreFinishWake(arg any) {
-	c := arg.(*Core)
+func coreFinishWake(a0, _ any) {
+	c := a0.(*Core)
 	c.waking = false
 	if c.decider != nil {
 		c.decider.OnWake(c, c.lastSlept)
@@ -222,12 +220,12 @@ func (c *Core) start(w *Work) {
 	c.running = w
 	c.runFrom = now
 	c.Dispatched.Inc()
-	c.doneEv = c.chip.eng.ScheduleArg(cyclesToDur(w.Cycles, c.dom.cur.MHz), coreComplete, c)
+	c.doneEv = c.chip.eng.Schedule(cyclesToDur(w.Cycles, c.dom.cur.MHz), coreComplete, c, nil)
 	c.chip.powerChanged()
 }
 
 // coreComplete finishes the running work item (arg is the *Core).
-func coreComplete(arg any) { arg.(*Core).complete() }
+func coreComplete(a0, _ any) { a0.(*Core).complete() }
 
 func (c *Core) complete() {
 	now := c.chip.eng.Now()

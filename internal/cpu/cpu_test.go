@@ -20,7 +20,7 @@ func TestWorkDurationScalesWithFrequency(t *testing.T) {
 	chip := newChip(eng)
 	var doneAt sim.Time
 	// 3.1e6 cycles at 3.1 GHz = 1 ms.
-	chip.Core(0).Submit(&Work{Name: "w", Cycles: 3_100_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt = eng.Now() }})
+	chip.Core(0).Submit(&Work{Name: "w", Cycles: 3_100_000, Prio: PrioTask, OnDone: sim.Call, A0: func() { doneAt = eng.Now() }})
 	eng.Run(sim.Second)
 	if doneAt != sim.Millisecond {
 		t.Fatalf("done at %v, want 1ms", doneAt)
@@ -31,7 +31,7 @@ func TestWorkDurationScalesWithFrequency(t *testing.T) {
 	tab := power.DefaultTable()
 	chip2 := New(eng2, 1, tab, power.DefaultModel(), tab.Min())
 	var doneAt2 sim.Time
-	chip2.Core(0).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt2 = eng2.Now() }})
+	chip2.Core(0).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: sim.Call, A0: func() { doneAt2 = eng2.Now() }})
 	eng2.Run(sim.Second)
 	want := sim.Time(3_100_000 * 1000 / 800)
 	if doneAt2 != want {
@@ -44,7 +44,7 @@ func TestFIFOWithinPriority(t *testing.T) {
 	chip := newChip(eng)
 	var order []string
 	mk := func(name string) *Work {
-		return &Work{Name: name, Cycles: 1000, Prio: PrioTask, OnDone: RunFunc, A0: func() { order = append(order, name) }}
+		return &Work{Name: name, Cycles: 1000, Prio: PrioTask, OnDone: sim.Call, A0: func() { order = append(order, name) }}
 	}
 	chip.Core(0).Submit(mk("a"))
 	chip.Core(0).Submit(mk("b"))
@@ -60,11 +60,11 @@ func TestIRQPreemptsTask(t *testing.T) {
 	chip := newChip(eng)
 	core := chip.Core(0)
 	var order []string
-	core.Submit(&Work{Name: "task", Cycles: 31_000_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { order = append(order, "task") }})
+	core.Submit(&Work{Name: "task", Cycles: 31_000_000, Prio: PrioTask, OnDone: sim.Call, A0: func() { order = append(order, "task") }})
 	// Inject an IRQ midway through the task.
-	eng.Schedule(sim.Millisecond, func() {
-		core.Submit(&Work{Name: "irq", Cycles: 3100, Prio: PrioIRQ, OnDone: RunFunc, A0: func() { order = append(order, "irq") }})
-	})
+	eng.Schedule(sim.Millisecond, sim.Call, func() {
+		core.Submit(&Work{Name: "irq", Cycles: 3100, Prio: PrioIRQ, OnDone: sim.Call, A0: func() { order = append(order, "irq") }})
+	}, nil)
 	eng.Run(sim.Second)
 	if len(order) != 2 || order[0] != "irq" || order[1] != "task" {
 		t.Fatalf("order = %v", order)
@@ -80,11 +80,11 @@ func TestPreemptionPreservesTotalWork(t *testing.T) {
 	core := chip.Core(0)
 	var doneAt sim.Time
 	// 31e6 cycles = 10 ms at 3.1 GHz.
-	core.Submit(&Work{Name: "task", Cycles: 31_000_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt = eng.Now() }})
+	core.Submit(&Work{Name: "task", Cycles: 31_000_000, Prio: PrioTask, OnDone: sim.Call, A0: func() { doneAt = eng.Now() }})
 	// 1 ms of IRQ work injected at t=2ms delays completion by ~1 ms.
-	eng.Schedule(2*sim.Millisecond, func() {
+	eng.Schedule(2*sim.Millisecond, sim.Call, func() {
 		core.Submit(&Work{Name: "irq", Cycles: 3_100_000, Prio: PrioIRQ})
-	})
+	}, nil)
 	eng.Run(sim.Second)
 	lo, hi := sim.Time(10_990*sim.Microsecond), sim.Time(11_010*sim.Microsecond)
 	if doneAt < lo || doneAt > hi {
@@ -117,9 +117,9 @@ func TestSleepAndWakeLatency(t *testing.T) {
 	// Wake with new work at t=1ms: completion is delayed by the C6 exit
 	// latency (22 µs) + MWAIT overhead (2 µs) + 1 µs of execution.
 	var doneAt sim.Time
-	eng.At(sim.Millisecond, func() {
-		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt = eng.Now() }})
-	})
+	eng.At(sim.Millisecond, sim.Call, func() {
+		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: sim.Call, A0: func() { doneAt = eng.Now() }})
+	}, nil)
 	eng.Run(sim.Second)
 	want := sim.Time(sim.Millisecond + 22*sim.Microsecond + power.MwaitWakeOverhead + sim.Microsecond)
 	if doneAt != want {
@@ -147,9 +147,9 @@ func TestC0PollingWakesInstantly(t *testing.T) {
 		t.Fatalf("core should idle in C0, state=%v busy=%v", core.CState(), core.Busy())
 	}
 	var doneAt sim.Time
-	eng.At(sim.Millisecond, func() {
-		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt = eng.Now() }})
-	})
+	eng.At(sim.Millisecond, sim.Call, func() {
+		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: sim.Call, A0: func() { doneAt = eng.Now() }})
+	}, nil)
 	eng.Run(sim.Second)
 	if doneAt != sim.Millisecond+sim.Microsecond {
 		t.Fatalf("done at %v, want 1.001ms (no wake latency in C0)", doneAt)
@@ -198,10 +198,10 @@ func TestTransitionStallsExecution(t *testing.T) {
 	core := chip.Core(0)
 	var doneAt sim.Time
 	// 3.1e6 cycles = 1 ms at P0.
-	core.Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { doneAt = eng.Now() }})
+	core.Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: sim.Call, A0: func() { doneAt = eng.Now() }})
 	// Mid-flight down-transition at t=0.5ms: 5µs stall, then the remaining
 	// ~0.5ms of cycles run at 0.8 GHz (3.875x slower).
-	eng.At(500*sim.Microsecond, func() { chip.SetPState(tab.Min()) })
+	eng.At(500*sim.Microsecond, sim.Call, func() { chip.SetPState(tab.Min()) }, nil)
 	eng.Run(sim.Second)
 	// Remaining cycles at switch: 3.1e6 - 0.5ms*3.1GHz = 1.55e6 cycles.
 	// At 800 MHz that is 1.9375 ms; plus 0.5 ms elapsed plus 5 µs stall.
@@ -343,13 +343,13 @@ func TestSubmitDuringWakeCoalesces(t *testing.T) {
 	core.Submit(&Work{Cycles: 3100, Prio: PrioTask})
 	eng.Run(10 * sim.Microsecond) // now sleeping in C6
 	done := 0
-	eng.At(sim.Millisecond, func() {
-		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: func() { done++ }})
-	})
+	eng.At(sim.Millisecond, sim.Call, func() {
+		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: sim.Call, A0: func() { done++ }})
+	}, nil)
 	// Second submission lands mid-wake; both must complete, one wake only.
-	eng.At(sim.Millisecond+5*sim.Microsecond, func() {
-		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: func() { done++ }})
-	})
+	eng.At(sim.Millisecond+5*sim.Microsecond, sim.Call, func() {
+		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: sim.Call, A0: func() { done++ }})
+	}, nil)
 	eng.Run(sim.Second)
 	if done != 2 {
 		t.Fatalf("done = %d, want 2", done)
@@ -364,7 +364,7 @@ func TestZeroCycleWorkClamped(t *testing.T) {
 	eng := sim.NewEngine()
 	chip := newChip(eng)
 	done := false
-	chip.Core(0).Submit(&Work{Cycles: 0, Prio: PrioTask, OnDone: RunFunc, A0: func() { done = true }})
+	chip.Core(0).Submit(&Work{Cycles: 0, Prio: PrioTask, OnDone: sim.Call, A0: func() { done = true }})
 	eng.Run(sim.Millisecond)
 	if !done {
 		t.Fatal("zero-cycle work never completed")
@@ -380,10 +380,10 @@ func TestOnDoneChaining(t *testing.T) {
 	chain = func() {
 		count++
 		if count < 10 {
-			core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: chain})
+			core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: sim.Call, A0: chain})
 		}
 	}
-	core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: chain})
+	core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: sim.Call, A0: chain})
 	eng.Run(sim.Second)
 	if count != 10 {
 		t.Fatalf("chain count = %d", count)
@@ -410,8 +410,8 @@ func TestPerCoreDomainsIndependent(t *testing.T) {
 	}
 	// Work on core 1 runs 3.875x faster than on core 0.
 	var done0, done1 sim.Time
-	chip.Core(0).Submit(&Work{Cycles: 800_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { done0 = eng.Now() }})
-	chip.Core(1).Submit(&Work{Cycles: 800_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { done1 = eng.Now() }})
+	chip.Core(0).Submit(&Work{Cycles: 800_000, Prio: PrioTask, OnDone: sim.Call, A0: func() { done0 = eng.Now() }})
+	chip.Core(1).Submit(&Work{Cycles: 800_000, Prio: PrioTask, OnDone: sim.Call, A0: func() { done1 = eng.Now() }})
 	eng.Run(sim.Second)
 	if done1 >= done0 {
 		t.Fatalf("boosted core not faster: %v vs %v", done1, done0)
@@ -423,10 +423,10 @@ func TestPerCoreTransitionStallsOnlyOwnCore(t *testing.T) {
 	tab := power.DefaultTable()
 	chip := NewPerCore(eng, 2, tab, power.DefaultModel(), tab.Max())
 	var done0, done1 sim.Time
-	chip.Core(0).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { done0 = eng.Now() }})
-	chip.Core(1).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: RunFunc, A0: func() { done1 = eng.Now() }})
+	chip.Core(0).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: sim.Call, A0: func() { done0 = eng.Now() }})
+	chip.Core(1).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: sim.Call, A0: func() { done1 = eng.Now() }})
 	// Down-transition domain 0 mid-flight: only core 0 is stalled/slowed.
-	eng.At(500*sim.Microsecond, func() { chip.Core(0).Domain().SetPState(tab.Min()) })
+	eng.At(500*sim.Microsecond, sim.Call, func() { chip.Core(0).Domain().SetPState(tab.Min()) }, nil)
 	eng.Run(sim.Second)
 	if done1 != sim.Millisecond {
 		t.Fatalf("core1 done at %v, want exactly 1ms (unaffected)", done1)
@@ -525,10 +525,10 @@ func TestKickIdleDoesNotLoseQueuedWork(t *testing.T) {
 	eng.Run(10 * sim.Microsecond)
 	// Work arrives and, in the same instant, a kick (IT_LOW racing rx).
 	done := false
-	eng.At(sim.Millisecond, func() {
-		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: RunFunc, A0: func() { done = true }})
+	eng.At(sim.Millisecond, sim.Call, func() {
+		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: sim.Call, A0: func() { done = true }})
 		core.KickIdle()
-	})
+	}, nil)
 	eng.Run(sim.Second)
 	if !done {
 		t.Fatal("work lost around KickIdle")
@@ -549,11 +549,11 @@ func TestBusyConservationProperty(t *testing.T) {
 			}
 			core := chip.Core(int(r) % 4)
 			delay := sim.Duration(r%200) * 50 * sim.Microsecond
-			eng.At(sim.Time(delay), func() {
+			eng.At(sim.Time(delay), sim.Call, func() {
 				submitted++
 				core.Submit(&Work{Cycles: int64(r%1000)*1000 + 1, Prio: PrioTask,
-					OnDone: RunFunc, A0: func() { completed++ }})
-			})
+					OnDone: sim.Call, A0: func() { completed++ }})
+			}, nil)
 		}
 		eng.Run(100 * sim.Millisecond)
 		var busy sim.Duration
@@ -656,9 +656,9 @@ func TestRunQueueRingOrder(t *testing.T) {
 		core.SubmitArg("t", 3100, PrioTask, record, i, nil)
 	}
 	// Preempt the running task 0 halfway: it must finish before task 1.
-	eng.Schedule(500*sim.Nanosecond, func() {
+	eng.Schedule(500*sim.Nanosecond, sim.Call, func() {
 		core.SubmitArg("irq", 3100, PrioIRQ, record, -1, nil)
-	})
+	}, nil)
 	eng.Run(sim.Second)
 	want := []int{-1}
 	for i := 0; i < 20; i++ {

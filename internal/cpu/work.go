@@ -38,9 +38,9 @@ func (p Priority) String() string {
 }
 
 // Work is a unit of execution: a cycle budget plus a closure-free
-// completion callback, OnDone(A0, A1), in the style of the engine's
-// ScheduleArg2 — a package-level function and pointer arguments cost no
-// heap allocation, where a closure usually would.
+// completion callback, OnDone(A0, A1), the same shape as an engine event
+// — a package-level function and pointer arguments cost no heap
+// allocation, where a closure usually would.
 //
 // A Work value is owned by whoever submitted it until it completes: it
 // must not be submitted again while queued or running (Core.Submit
@@ -63,7 +63,3 @@ type Work struct {
 	inFlight bool // queued or running on a core
 	pooled   bool // drawn from a core's free list by SubmitArg
 }
-
-// RunFunc is the shared trampoline for cold callers that really need a
-// closure: pass it as OnDone with the func() as A0.
-func RunFunc(a0, _ any) { a0.(func())() }

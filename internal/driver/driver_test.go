@@ -204,9 +204,9 @@ func TestSoftwareNCAPBoostsViaTimer(t *testing.T) {
 	// 60 GETs within one 1 ms window: 60 K RPS > RHT.
 	for i := 0; i < 60; i++ {
 		d := sim.Duration(i) * 10 * sim.Microsecond
-		r.eng.Schedule(d, func() {
+		r.eng.Schedule(d, sim.Call, func() {
 			r.dev.Receive(netsim.NewRequest(2, 1, 1, []byte("GET /")))
-		})
+		}, nil)
 	}
 	r.eng.Run(5 * sim.Millisecond)
 	if boosts == 0 {
@@ -227,9 +227,9 @@ func TestSoftwareNCAPChargesInspectionCycles(t *testing.T) {
 		}
 		for i := 0; i < 200; i++ {
 			d := sim.Duration(i) * 5 * sim.Microsecond
-			r.eng.Schedule(d, func() {
+			r.eng.Schedule(d, sim.Call, func() {
 				r.dev.Receive(netsim.NewRequest(2, 1, 1, []byte("GET /")))
-			})
+			}, nil)
 		}
 		r.eng.Run(20 * sim.Millisecond)
 		return r.chip.Core(0).BusyTime()
@@ -325,10 +325,10 @@ func TestDeliveryLatencyMatchesPaper(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		id := uint64(i)
 		d := sim.Duration(i) * 150 * sim.Nanosecond
-		r.eng.Schedule(d, func() {
+		r.eng.Schedule(d, sim.Call, func() {
 			stamps[id] = &stamp{rx: r.eng.Now()}
 			r.dev.Receive(netsim.NewRequest(2, 1, id, []byte("GET /index.html")))
-		})
+		}, nil)
 	}
 	r.eng.Run(10 * sim.Millisecond)
 	var total sim.Duration

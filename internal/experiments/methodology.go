@@ -78,7 +78,7 @@ func runClosedLoop(o Options, prof app.Profile, loadRPS float64) OpenVsClosedRow
 	}
 	eng.Run(cfg.Warmup + cfg.Measure + cfg.Drain)
 
-	merged := stats.NewRecorder()
+	merged := stats.NewLatencyRecorder()
 	var completed int64
 	for _, c := range clients {
 		merged.Merge(c.Latency())

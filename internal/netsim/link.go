@@ -106,8 +106,8 @@ func (l *Link) Injector() *fault.Injector { return l.inj }
 
 // linkDequeue frees the head frame's egress-buffer reservation when its
 // serialization completes (arg is the *Link).
-func linkDequeue(arg any) {
-	l := arg.(*Link)
+func linkDequeue(a0, _ any) {
+	l := a0.(*Link)
 	l.queued -= l.deq[l.deqHead]
 	l.deqHead++
 	if l.deqHead == len(l.deq) {
@@ -186,7 +186,7 @@ func (l *Link) Send(p *Packet) bool {
 	arrival := l.busyTil + l.cfg.Latency
 	l.Bytes.Add(int64(ws))
 	l.pushDeq(ws)
-	l.eng.AtArg(l.busyTil, linkDequeue, l)
+	l.eng.At(l.busyTil, linkDequeue, l, nil)
 	if l.inj != nil {
 		if !l.sendFaulty(p, arrival) {
 			return true // serialized, then lost on the medium
@@ -194,7 +194,7 @@ func (l *Link) Send(p *Packet) bool {
 	} else if l.port != nil {
 		l.stage(p, arrival)
 	} else {
-		l.eng.AtArg2(arrival, linkDeliver, l, p)
+		l.eng.At(arrival, linkDeliver, l, p)
 	}
 	return true
 }
@@ -231,7 +231,7 @@ func (l *Link) sendFaulty(p *Packet, arrival sim.Time) bool {
 	if l.port != nil {
 		l.stage(p, arrival)
 	} else {
-		l.eng.AtArg2(arrival, linkDeliver, l, p)
+		l.eng.At(arrival, linkDeliver, l, p)
 	}
 	if act.Duplicate {
 		l.FaultDups.Inc()
@@ -252,7 +252,7 @@ func (l *Link) sendFaulty(p *Packet, arrival sim.Time) bool {
 		if l.port != nil {
 			l.stage(dup, arrival+l.serialization(p.WireSize()))
 		} else {
-			l.eng.AtArg2(arrival+l.serialization(p.WireSize()), linkDeliver, l, dup)
+			l.eng.At(arrival+l.serialization(p.WireSize()), linkDeliver, l, dup)
 		}
 	}
 	return true

@@ -45,7 +45,7 @@ func (f Frame) Less(g Frame) bool {
 }
 
 // Aux is the frame's tie-break key in the destination engine's queue
-// (sim.Event.aux): nonzero, so injected deliveries order after local
+// (the event's aux key, see sim.Engine.InjectAt): nonzero, so injected deliveries order after local
 // events at equal (when, sat), and unique per (link, frame), so equal
 // (when, sat) injections order identically at any shard count.
 func (f Frame) Aux() uint64 { return (f.LinkID+1)<<32 | (f.Index & (1<<32 - 1)) }

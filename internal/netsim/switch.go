@@ -166,7 +166,7 @@ func (s *Switch) Receive(p *Packet) {
 	}
 	s.Forwarded.Inc()
 	if s.fwDelay > 0 {
-		s.eng.ScheduleArg2(s.fwDelay, switchForward, out, p)
+		s.eng.Schedule(s.fwDelay, switchForward, out, p)
 	} else {
 		out.Send(p)
 	}

@@ -379,7 +379,7 @@ func (q *Queue) receive(p *netsim.Packet) {
 		q.n.dmaBusyTil = now
 	}
 	q.n.dmaBusyTil += q.n.cfg.DMASetup + q.n.transfer(p.WireSize())
-	q.n.eng.AtArg2(q.n.dmaBusyTil, queueDMAComplete, q, p)
+	q.n.eng.At(q.n.dmaBusyTil, queueDMAComplete, q, p)
 }
 
 // queueDMAComplete finishes a frame's DMA into main memory (a0 is the

@@ -198,7 +198,7 @@ func (t *Timer) expire() {
 	if t.period > 0 {
 		t.inner.Arm(t.period)
 	}
-	t.k.chip.Core(t.coreID).SubmitArg(t.name, t.cycles, cpu.PrioIRQ, cpu.RunFunc, t.fn, nil)
+	t.k.chip.Core(t.coreID).SubmitArg(t.name, t.cycles, cpu.PrioIRQ, sim.Call, t.fn, nil)
 }
 
 // NextTimerDelay returns the delay until the earliest armed timer on the

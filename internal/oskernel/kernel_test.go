@@ -56,9 +56,9 @@ func TestIRQPreemptsRunningTask(t *testing.T) {
 	eng := sim.NewEngine()
 	k := newKernel(eng)
 	var irqDone, taskDone sim.Time
-	k.SubmitTaskOn(0, "task", 31_000_000, cpu.RunFunc, func() { taskDone = eng.Now() }, nil) // 10 ms
+	k.SubmitTaskOn(0, "task", 31_000_000, sim.Call, func() { taskDone = eng.Now() }, nil) // 10 ms
 	irq := k.NewIRQ("nic", 3100, func() { irqDone = eng.Now() })
-	eng.At(sim.Millisecond, func() { irq.Assert() })
+	eng.At(sim.Millisecond, sim.Call, func() { irq.Assert() }, nil)
 	eng.Run(sim.Second)
 	if irqDone == 0 || irqDone > 1010*sim.Microsecond {
 		t.Fatalf("irq done at %v, want ~1.001ms", irqDone)
@@ -81,8 +81,8 @@ func TestSoftIRQCoalescingAndRun(t *testing.T) {
 	}
 	// Run executes without coalescing.
 	extra := 0
-	s.Run(3100, cpu.RunFunc, func() { extra++ }, nil)
-	s.Run(3100, cpu.RunFunc, func() { extra++ }, nil)
+	s.Run(3100, sim.Call, func() { extra++ }, nil)
+	s.Run(3100, sim.Call, func() { extra++ }, nil)
 	eng.Run(2 * sim.Millisecond)
 	if extra != 2 {
 		t.Fatalf("Run executed %d, want 2", extra)
@@ -96,7 +96,7 @@ func TestSoftIRQYieldsToIRQ(t *testing.T) {
 	s := k.NewSoftIRQ("net_rx", 0, 3_100_000, func() { order = append(order, "softirq") }) // 1 ms
 	irq := k.NewIRQ("nic", 3100, func() { order = append(order, "irq") })
 	s.Raise()
-	eng.At(100*sim.Microsecond, func() { irq.Assert() })
+	eng.At(100*sim.Microsecond, sim.Call, func() { irq.Assert() }, nil)
 	eng.Run(sim.Second)
 	if len(order) != 2 || order[0] != "irq" {
 		t.Fatalf("order = %v, want irq first", order)
@@ -262,11 +262,11 @@ func TestSubmitSoftIRQOnPreemptsTasks(t *testing.T) {
 	k := newKernel(eng)
 	var order []string
 	// A long task queue, then softirq work submitted behind it.
-	k.SubmitTaskOn(1, "t1", 3_100_000, cpu.RunFunc, func() { order = append(order, "t1") }, nil)
-	k.SubmitTaskOn(1, "t2", 3_100_000, cpu.RunFunc, func() { order = append(order, "t2") }, nil)
-	eng.Schedule(100*sim.Microsecond, func() {
-		k.SubmitSoftIRQOn(1, "net_tx", 3100, cpu.RunFunc, func() { order = append(order, "tx") }, nil)
-	})
+	k.SubmitTaskOn(1, "t1", 3_100_000, sim.Call, func() { order = append(order, "t1") }, nil)
+	k.SubmitTaskOn(1, "t2", 3_100_000, sim.Call, func() { order = append(order, "t2") }, nil)
+	eng.Schedule(100*sim.Microsecond, sim.Call, func() {
+		k.SubmitSoftIRQOn(1, "net_tx", 3100, sim.Call, func() { order = append(order, "tx") }, nil)
+	}, nil)
 	eng.Run(sim.Second)
 	// net_tx preempts t1's remainder? No: softirq preempts only QUEUED
 	// tasks; the running slice t1 is lower priority so it IS preempted.

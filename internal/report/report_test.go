@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"ncap/internal/app"
@@ -95,25 +94,5 @@ func TestReportStableAcrossWorkerCounts(t *testing.T) {
 	serial, parallel := build(1), build(4)
 	if serial != parallel {
 		t.Fatalf("report differs between -jobs 1 and -jobs 4:\n%s\nvs\n%s", serial, parallel)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	res := cluster.New(quickConfig()).Run()
-	r := New("test", "csv")
-	r.Runs = append(r.Runs, FromResult("a", res))
-	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want header + 1 row, got %d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "tag,policy,workload,load_rps") {
-		t.Fatalf("header %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "a,ncap.aggr,apache,3000") {
-		t.Fatalf("row %q", lines[1])
 	}
 }

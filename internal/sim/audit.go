@@ -76,7 +76,7 @@ func (e *Engine) AuditIntegrity(a *audit.Auditor, lastCursor uint64) uint64 {
 					fmt.Sprintf("level %d slot %d bit=%v", lvl, slot, b.head != nil),
 					fmt.Sprintf("bit=%v", occ))
 			}
-			var prev *Event
+			var prev *event
 			for ev := b.head; ev != nil; ev = ev.next {
 				total++
 				if ev.where != inWheel || int(ev.level) != lvl || int(ev.slot) != slot {

@@ -16,12 +16,12 @@ func TestAuditIntegrityCleanEngine(t *testing.T) {
 	fired := 0
 	for i := 0; i < 200; i++ {
 		// Spread across near (sub-4096ns), wheel and overflow horizons.
-		eng.Schedule(Duration(1+i*37), func() { fired++ })
-		eng.Schedule(Duration(10_000+i*911), func() { fired++ })
-		eng.Schedule(Duration(int64(1)<<40)+Duration(i), func() { fired++ })
+		eng.Schedule(Duration(1+i*37), Call, func() { fired++ }, nil)
+		eng.Schedule(Duration(10_000+i*911), Call, func() { fired++ }, nil)
+		eng.Schedule(Duration(int64(1)<<40)+Duration(i), Call, func() { fired++ }, nil)
 	}
 	for i := 0; i < 50; i++ {
-		h := eng.Schedule(Duration(5_000+i), func() { t.Error("canceled event fired") })
+		h := eng.Schedule(Duration(5_000+i), Call, func() { t.Error("canceled event fired") }, nil)
 		h.Cancel()
 	}
 	var cursor uint64
@@ -53,8 +53,8 @@ func TestLivelockWatchdogTrips(t *testing.T) {
 		eng.Stop()
 	})
 	var spin func()
-	spin = func() { eng.Schedule(0, spin) }
-	eng.At(42, spin)
+	spin = func() { eng.Schedule(0, Call, spin, nil) }
+	eng.At(42, Call, spin, nil)
 	eng.Run(Second)
 	if count != 1000 {
 		t.Fatalf("watchdog count = %d, want the limit (1000)", count)
@@ -75,10 +75,10 @@ func TestLivelockWatchdogQuietOnProgress(t *testing.T) {
 	var tick func()
 	tick = func() {
 		if n++; n < 10_000 {
-			eng.Schedule(1, tick)
+			eng.Schedule(1, Call, tick, nil)
 		}
 	}
-	eng.Schedule(1, tick)
+	eng.Schedule(1, Call, tick, nil)
 	eng.Run(Time(20_000))
 	if n != 10_000 {
 		t.Fatalf("ran %d ticks", n)

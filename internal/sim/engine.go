@@ -76,7 +76,7 @@ const (
 )
 
 // Where an event currently lives. Only inFree events may be handed out by
-// the pool, and Cancel/Pending treat inFree as "not scheduled".
+// the pool, and a Handle treats inFree as "not scheduled".
 const (
 	inFree uint8 = iota
 	inNear
@@ -84,16 +84,15 @@ const (
 	inOverflow
 )
 
-// Event is a scheduled callback, owned by the engine's free-list pool.
-// The scheduling methods return *Event for transient cancellation only:
-// once the event has fired or been canceled the pointer may be recycled
-// for an unrelated callback, so callers that retain a reference across
-// fires must hold a Handle (see Schedule*/At* Handle variants) instead.
-type Event struct {
+// event is a scheduled callback, owned by the engine's free-list pool.
+// Once it fires or is canceled the storage is recycled for an unrelated
+// callback, so the scheduling methods hand out a generation-checked Handle
+// rather than the pointer.
+type event struct {
 	when Time
 	// sat is the simulated time the event was scheduled. For locally
-	// scheduled events it equals the engine's now at the Schedule*/At*
-	// call; cross-engine injections (InjectAt) carry the sender engine's
+	// scheduled events it equals the engine's now at the Schedule/At call;
+	// cross-engine injections (InjectAt) carry the sender engine's
 	// schedule time instead. Because seq increases monotonically and now
 	// never decreases, ordering by (when, sat, aux, seq) is identical to
 	// ordering by (when, seq) for purely local events — sat and aux only
@@ -112,58 +111,23 @@ type Event struct {
 	// doubly-linked bucket list plus (level, slot) for inWheel. The free
 	// list reuses next.
 	index       int
-	next, prev  *Event
+	next, prev  *event
 	level, slot uint8
 	where       uint8
 
-	// Exactly one callback form is set: fn (closure path), afn+a0
-	// (one-argument fast path), or afn2+a0+a1 (two-argument fast path).
-	fn   func()
-	afn  func(any)
-	afn2 func(any, any)
-	a0   any
-	a1   any
+	fn     func(a0, a1 any)
+	a0, a1 any
 
 	eng *Engine
 }
 
-// When returns the simulated time the event will fire (or fired).
-func (e *Event) When() Time { return e.when }
-
-// Cancel prevents the event from firing, unlinks it from the queue
-// immediately, and recycles it. Canceling an already-fired or
-// already-canceled event is a no-op. Cancel reports whether the event was
-// still pending.
-func (e *Event) Cancel() bool {
-	if e == nil || e.where == inFree {
-		return false
-	}
-	eng := e.eng
-	switch e.where {
-	case inNear:
-		eng.near.remove(e.index)
-	case inOverflow:
-		eng.overflow.remove(e.index)
-	case inWheel:
-		eng.unlinkBucket(e)
-	}
-	eng.pending--
-	eng.recycle(e)
-	return true
-}
-
-// Pending reports whether the event is scheduled and not canceled. After
-// the event fires the underlying storage may be reused; prefer Handle for
-// references held across fires.
-func (e *Event) Pending() bool { return e != nil && e.where != inFree }
-
-// Handle is a safe, value-type reference to a scheduled event. Unlike a
-// retained *Event it detects recycling: once the event fires or is
-// canceled, the handle reports not-pending forever, even after the pooled
-// storage is reused for an unrelated event. The zero Handle is valid and
-// not pending.
+// Handle is a safe, value-type reference to a scheduled event. Because
+// the engine pools events, it detects recycling: once the event fires or
+// is canceled, the handle reports not-pending forever, even after the
+// pooled storage is reused for an unrelated event. The zero Handle is
+// valid and not pending.
 type Handle struct {
-	ev  *Event
+	ev  *event
 	gen uint64
 }
 
@@ -181,20 +145,32 @@ func (h Handle) When() Time {
 	return h.ev.when
 }
 
-// Cancel cancels the referenced event if it is still pending and reports
-// whether it was.
+// Cancel prevents the referenced event from firing, unlinking it from the
+// queue immediately, and reports whether it was still pending. Canceling
+// a fired or already-canceled event is a no-op.
 func (h Handle) Cancel() bool {
 	if !h.live() {
 		return false
 	}
-	return h.ev.Cancel()
+	ev, eng := h.ev, h.ev.eng
+	switch ev.where {
+	case inNear:
+		eng.near.remove(ev.index)
+	case inOverflow:
+		eng.overflow.remove(ev.index)
+	case inWheel:
+		eng.unlinkBucket(ev)
+	}
+	eng.pending--
+	eng.recycle(ev)
+	return true
 }
 
 // bucket is one timer-wheel slot: an intrusive doubly-linked event list.
 // Order within a bucket is irrelevant; the near heap restores the exact
 // (when, seq) order before anything fires.
 type bucket struct {
-	head, tail *Event
+	head, tail *event
 }
 
 // wheelLevel is one ring of the hierarchical wheel. occupied has bit s set
@@ -224,7 +200,7 @@ type Engine struct {
 	overflow eventHeap
 	levels   [wheelLevels]wheelLevel
 
-	free *Event // free-list of recycled events, linked through next
+	free *event // free-list of recycled events, linked through next
 
 	// Livelock watchdog (see SetLivelockWatchdog): when wdLimit > 0, Run
 	// counts consecutive events firing at the same instant and trips once
@@ -252,7 +228,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return e.pending }
 
 // alloc hands out a pooled (or fresh) event for time t.
-func (e *Engine) alloc(t Time) *Event {
+func (e *Engine) alloc(t Time) *event {
 	if t < e.now {
 		t = e.now
 	}
@@ -261,7 +237,7 @@ func (e *Engine) alloc(t Time) *Event {
 		e.free = ev.next
 		ev.next = nil
 	} else {
-		ev = &Event{eng: e}
+		ev = &event{eng: e}
 	}
 	ev.when = t
 	ev.sat = e.now
@@ -273,14 +249,10 @@ func (e *Engine) alloc(t Time) *Event {
 
 // recycle returns a no-longer-queued event to the free list, invalidating
 // outstanding Handles and dropping callback references.
-func (e *Engine) recycle(ev *Event) {
+func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.where = inFree
-	ev.fn = nil
-	ev.afn = nil
-	ev.afn2 = nil
-	ev.a0 = nil
-	ev.a1 = nil
+	ev.fn, ev.a0, ev.a1 = nil, nil, nil
 	ev.prev = nil
 	ev.next = e.free
 	e.free = ev
@@ -289,7 +261,7 @@ func (e *Engine) recycle(ev *Event) {
 // insert places an allocated event into the near heap, a wheel bucket, or
 // the overflow heap, according to its distance from the wheel cursor.
 // Callers account for pending.
-func (e *Engine) insert(ev *Event) {
+func (e *Engine) insert(ev *event) {
 	w := uint64(ev.when)
 	if w < e.cur {
 		// Behind the cursor: possible when a bounded Run cascaded past
@@ -328,7 +300,7 @@ func (e *Engine) insert(ev *Event) {
 }
 
 // unlinkBucket removes an inWheel event from its bucket list.
-func (e *Engine) unlinkBucket(ev *Event) {
+func (e *Engine) unlinkBucket(ev *event) {
 	b := &e.levels[ev.level].slots[ev.slot]
 	if ev.prev != nil {
 		ev.prev.next = ev.next
@@ -366,7 +338,7 @@ func (e *Engine) cascade(lvl, slot int) {
 // popMin removes and returns the earliest event with when ≤ limit, or nil.
 // It cascades wheel buckets as needed; the near heap's exact (when, seq)
 // comparator is the only thing that ever decides order between events.
-func (e *Engine) popMin(limit Time) *Event {
+func (e *Engine) popMin(limit Time) *event {
 	for {
 		best := e.near.min()
 		if o := e.overflow.min(); o != nil && (best == nil || o.less(best)) {
@@ -426,88 +398,52 @@ func (e *Engine) popMin(limit Time) *Event {
 // fire recycles ev and runs its callback. Recycling first keeps the pool
 // hot when the callback immediately reschedules; Handles cannot observe
 // the reuse thanks to the generation counter.
-func (e *Engine) fire(ev *Event) {
-	fn, afn, afn2, a0, a1 := ev.fn, ev.afn, ev.afn2, ev.a0, ev.a1
+func (e *Engine) fire(ev *event) {
+	fn, a0, a1 := ev.fn, ev.a0, ev.a1
 	e.recycle(ev)
 	e.fired++
-	switch {
-	case fn != nil:
-		fn()
-	case afn != nil:
-		afn(a0)
-	default:
-		afn2(a0, a1)
-	}
+	fn(a0, a1)
 }
 
-// Schedule runs fn after delay. A negative delay is treated as zero (fires
-// at the current time, after already-queued events for that time).
-func (e *Engine) Schedule(delay Duration, fn func()) *Event {
+// Schedule runs fn(a0, a1) after delay. A negative delay is treated as
+// zero (fires at the current time, after already-queued events for that
+// time). fn is typically a package-level trampoline and a0 a pointer, so
+// scheduling does not allocate in steady state; a closure goes through
+// Call.
+func (e *Engine) Schedule(delay Duration, fn func(a0, a1 any), a0, a1 any) Handle {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.At(e.now+delay, fn)
+	return e.At(e.now+delay, fn, a0, a1)
 }
 
-// At runs fn at the absolute time t. If t is in the past it fires at the
-// current time.
-func (e *Engine) At(t Time, fn func()) *Event {
+// At runs fn(a0, a1) at the absolute time t. If t is in the past it fires
+// at the current time.
+func (e *Engine) At(t Time, fn func(a0, a1 any), a0, a1 any) Handle {
 	if fn == nil {
 		panic("sim: At called with nil fn")
 	}
 	ev := e.alloc(t)
-	ev.fn = fn
+	ev.fn, ev.a0, ev.a1 = fn, a0, a1
 	e.insert(ev)
 	e.pending++
-	return ev
+	return Handle{ev: ev, gen: ev.gen}
 }
 
-// ScheduleArg runs fn(arg) after delay (clamped at zero). Because fn is
-// typically a package-level function and arg a pointer, this path does not
-// allocate in steady state — unlike Schedule, whose closure usually does.
+// ScheduleArg runs fn(arg) after delay: an adapter over Schedule for
+// one-argument callbacks.
 func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) Handle {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.AtArg(e.now+delay, fn, arg)
+	return e.Schedule(delay, callArg, fn, arg)
 }
 
-// AtArg runs fn(arg) at the absolute time t (clamped at the current time).
-func (e *Engine) AtArg(t Time, fn func(any), arg any) Handle {
-	if fn == nil {
-		panic("sim: AtArg called with nil fn")
-	}
-	ev := e.alloc(t)
-	ev.afn = fn
-	ev.a0 = arg
-	e.insert(ev)
-	e.pending++
-	return Handle{ev: ev, gen: ev.gen}
-}
+// callArg is ScheduleArg's trampoline: fn is the func(any), arg its argument.
+func callArg(fn, arg any) { fn.(func(any))(arg) }
 
-// ScheduleArg2 runs fn(a0, a1) after delay (clamped at zero), for
-// callbacks needing a receiver plus one argument without a closure.
-func (e *Engine) ScheduleArg2(delay Duration, fn func(any, any), a0, a1 any) Handle {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.AtArg2(e.now+delay, fn, a0, a1)
-}
-
-// AtArg2 runs fn(a0, a1) at the absolute time t (clamped at the current
-// time).
-func (e *Engine) AtArg2(t Time, fn func(any, any), a0, a1 any) Handle {
-	if fn == nil {
-		panic("sim: AtArg2 called with nil fn")
-	}
-	ev := e.alloc(t)
-	ev.afn2 = fn
-	ev.a0 = a0
-	ev.a1 = a1
-	e.insert(ev)
-	e.pending++
-	return Handle{ev: ev, gen: ev.gen}
-}
+// Call is the one trampoline for cold callers that defer a closure, on
+// the engine (Schedule(d, Call, fn, nil)) or anywhere else that takes a
+// func(a0, a1 any) callback: fn is the func(). Storing a func value in an
+// interface does not allocate, so only building the closure itself can.
+func Call(fn, _ any) { fn.(func())() }
 
 // Run executes events until the queue drains or the clock would pass until.
 // It returns the number of events fired during this call. Events scheduled
@@ -596,10 +532,10 @@ func (e *Engine) NextEventBound() Time {
 // primitive: a frame leaving one shard's engine arrives on another's with
 // the sender's schedule time and a partition-invariant identity, so the
 // receiving queue orders it exactly as the single-engine run would have
-// (see Event.sat/aux). when must not be in the past and sat must not be
+// (see event.sat/aux). when must not be in the past and sat must not be
 // after when; both would break the conservative-sync contract, so they
 // panic rather than clamp.
-func (e *Engine) InjectAt(when, sat Time, aux uint64, fn func(any, any), a0, a1 any) {
+func (e *Engine) InjectAt(when, sat Time, aux uint64, fn func(a0, a1 any), a0, a1 any) {
 	if fn == nil {
 		panic("sim: InjectAt called with nil fn")
 	}
@@ -612,18 +548,16 @@ func (e *Engine) InjectAt(when, sat Time, aux uint64, fn func(any, any), a0, a1 
 	ev := e.alloc(when)
 	ev.sat = sat
 	ev.aux = aux
-	ev.afn2 = fn
-	ev.a0 = a0
-	ev.a1 = a1
+	ev.fn, ev.a0, ev.a1 = fn, a0, a1
 	e.insert(ev)
 	e.pending++
 }
 
 // eventHeap is a binary min-heap of events ordered by (when, seq), with
 // index maintenance for O(log n) removal by position.
-type eventHeap []*Event
+type eventHeap []*event
 
-func (a *Event) less(b *Event) bool {
+func (a *event) less(b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
@@ -637,14 +571,14 @@ func (a *Event) less(b *Event) bool {
 }
 
 // min returns the earliest event without removing it, or nil.
-func (h eventHeap) min() *Event {
+func (h eventHeap) min() *event {
 	if len(h) == 0 {
 		return nil
 	}
 	return h[0]
 }
 
-func (h *eventHeap) push(ev *Event) {
+func (h *eventHeap) push(ev *event) {
 	ev.index = len(*h)
 	*h = append(*h, ev)
 	h.siftUp(ev.index)

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"ncap/internal/race"
 )
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
@@ -10,7 +12,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, d := range []Duration{5, 1, 3, 2, 4} {
 		d := d
-		e.Schedule(d*Microsecond, func() { got = append(got, e.Now()) })
+		e.Schedule(d*Microsecond, Call, func() { got = append(got, e.Now()) }, nil)
 	}
 	e.Run(Second)
 	want := []Time{1 * Microsecond, 2 * Microsecond, 3 * Microsecond, 4 * Microsecond, 5 * Microsecond}
@@ -29,7 +31,7 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(42, func() { order = append(order, i) })
+		e.At(42, Call, func() { order = append(order, i) }, nil)
 	}
 	e.Run(Second)
 	for i, v := range order {
@@ -42,7 +44,7 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 func TestEngineRunUntilStopsClock(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.Schedule(2*Millisecond, func() { fired = true })
+	e.Schedule(2*Millisecond, Call, func() { fired = true }, nil)
 	e.Run(1 * Millisecond)
 	if fired {
 		t.Fatal("event beyond until fired")
@@ -62,7 +64,7 @@ func TestEngineRunUntilStopsClock(t *testing.T) {
 func TestEngineEventAtUntilBoundaryFires(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.At(5*Millisecond, func() { fired = true })
+	e.At(5*Millisecond, Call, func() { fired = true }, nil)
 	e.Run(5 * Millisecond)
 	if !fired {
 		t.Fatal("event exactly at until did not fire")
@@ -72,7 +74,7 @@ func TestEngineEventAtUntilBoundaryFires(t *testing.T) {
 func TestEventCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(Millisecond, func() { fired = true })
+	ev := e.Schedule(Millisecond, Call, func() { fired = true }, nil)
 	if !ev.Pending() {
 		t.Fatal("event not pending after schedule")
 	}
@@ -95,10 +97,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 100 {
-			e.Schedule(Microsecond, recurse)
+			e.Schedule(Microsecond, Call, recurse, nil)
 		}
 	}
-	e.Schedule(0, recurse)
+	e.Schedule(0, Call, recurse, nil)
 	e.Run(Second)
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
@@ -110,25 +112,52 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(Millisecond, func() {
-		ev := e.Schedule(-5*Millisecond, func() {})
+	e.Schedule(Millisecond, Call, func() {
+		ev := e.Schedule(-5*Millisecond, Call, func() {}, nil)
 		if ev.When() != e.Now() {
 			t.Errorf("negative delay scheduled at %v, want now (%v)", ev.When(), e.Now())
 		}
-	})
+	}, nil)
 	e.Run(Second)
+}
+
+// TestSchedulingDoesNotAllocate: with a pre-built callback and pointer
+// arguments, Schedule, At, the ScheduleArg adapter and a closure deferred
+// through Call all draw pooled events and allocate nothing.
+func TestSchedulingDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := NewEngine()
+	n := 0
+	count := func(a0, _ any) { *a0.(*int)++ }
+	closure := func() { n++ }
+	oneArg := func(a0 any) { *a0.(*int)++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Schedule(Microsecond, count, &n, nil)
+		e.At(e.Now()+2*Microsecond, count, &n, nil)
+		e.ScheduleArg(3*Microsecond, oneArg, &n)
+		e.Schedule(4*Microsecond, Call, closure, nil)
+		e.Run(e.Now() + 4*Microsecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("scheduling allocates %.1f objects per round", allocs)
+	}
+	if n != 4*101 { // AllocsPerRun adds one warm-up round
+		t.Fatalf("fired %d callbacks, want %d", n, 4*101)
+	}
 }
 
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(Duration(i)*Millisecond, func() {
+		e.Schedule(Duration(i)*Millisecond, Call, func() {
 			count++
 			if count == 3 {
 				e.Stop()
 			}
-		})
+		}, nil)
 	}
 	e.Run(Second)
 	if count != 3 {
@@ -144,8 +173,8 @@ func TestEngineStop(t *testing.T) {
 func TestEngineStep(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.Schedule(Millisecond, func() { n++ })
-	e.Schedule(2*Millisecond, func() { n++ })
+	e.Schedule(Millisecond, Call, func() { n++ }, nil)
+	e.Schedule(2*Millisecond, Call, func() { n++ }, nil)
 	if !e.Step() || n != 1 {
 		t.Fatalf("first Step: n=%d", n)
 	}
@@ -164,7 +193,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 		e := NewEngine()
 		var fired []Time
 		for _, d := range delays {
-			e.Schedule(Duration(d)*Microsecond, func() { fired = append(fired, e.Now()) })
+			e.Schedule(Duration(d)*Microsecond, Call, func() { fired = append(fired, e.Now()) }, nil)
 		}
 		e.Run(Second)
 		if len(fired) != len(delays) {
@@ -268,21 +297,6 @@ func TestTickerPeriodic(t *testing.T) {
 	e.Run(Second)
 	if len(ticks) != 3 {
 		t.Fatal("ticker fired after Stop")
-	}
-}
-
-func TestTickerSetPeriod(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	tk := NewTicker(e, 10*Millisecond, func() { n++ })
-	tk.Start()
-	e.Run(10 * Millisecond)
-	tk.SetPeriod(5 * Millisecond)
-	e.Run(30 * Millisecond)
-	// The t=10ms tick rearmed itself at the old 10ms period (SetPeriod ran
-	// after Run returned), so ticks land at 10, 20, 25, 30.
-	if n != 4 {
-		t.Fatalf("ticks = %d, want 4", n)
 	}
 }
 
@@ -404,7 +418,7 @@ func TestTimeFormatting(t *testing.T) {
 // TestFreeListReuses: Get hands back the most recently Put record, and a
 // fresh zero record once the list is empty.
 func TestFreeListReuses(t *testing.T) {
-	var fl FreeList[Event]
+	var fl FreeList[event]
 	a := fl.Get()
 	if a == nil || a.when != 0 {
 		t.Fatal("empty list must return a new zero record")

@@ -14,9 +14,9 @@ func TestNextEventBound(t *testing.T) {
 		t.Fatalf("empty engine bound = %v, want maxTime", e.NextEventBound())
 	}
 
-	e.At(5*Microsecond, func() {})
-	e.At(3*Millisecond, func() {})
-	e.At(7*Second, func() {}) // far future: lands in a coarse wheel level
+	e.At(5*Microsecond, Call, func() {}, nil)
+	e.At(3*Millisecond, Call, func() {}, nil)
+	e.At(7*Second, Call, func() {}, nil) // far future: lands in a coarse wheel level
 	if b := e.NextEventBound(); b > 5*Microsecond {
 		t.Fatalf("bound %v exceeds the earliest event at 5µs", b)
 	}
@@ -56,12 +56,12 @@ func TestNextEventBoundNeverOvershoots(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		at := e.Now() + Time(rng.Int63n(int64(2*Second)))
 		pending[at]++
-		e.At(at, func() {
+		e.At(at, Call, func() {
 			pending[at]--
 			if pending[at] == 0 {
 				delete(pending, at)
 			}
-		})
+		}, nil)
 		if b := e.NextEventBound(); b > earliest() {
 			t.Fatalf("step %d: bound %v past earliest pending %v", i, b, earliest())
 		}
@@ -86,8 +86,8 @@ func TestInjectAtOrdering(t *testing.T) {
 
 	const at = 10 * Microsecond
 	// Locals scheduled now carry sat = 0 (current now), aux = 0.
-	e.At(at, func() { order = append(order, 100) })
-	e.At(at, func() { order = append(order, 101) })
+	e.At(at, Call, func() { order = append(order, 100) }, nil)
+	e.At(at, Call, func() { order = append(order, 101) }, nil)
 	// Injections at the same instant: sat dominates, then aux.
 	e.InjectAt(at, 2*Microsecond, 7, note, 3, nil)
 	e.InjectAt(at, 2*Microsecond, 4, note, 2, nil)

@@ -4,10 +4,8 @@ package sim
 // hardware countdown timer or a kernel hrtimer. The zero value is not
 // usable; create timers with NewTimer.
 //
-// Timers hold a Handle, not an *Event: the engine pools events, so a
-// retained pointer could outlive its scheduling and alias an unrelated
-// event. They also schedule through the argument fast path, so arming a
-// timer does not allocate.
+// Timers hold the Handle of their pending expiry and schedule through a
+// package-level trampoline, so arming a timer does not allocate.
 type Timer struct {
 	eng *Engine
 	h   Handle
@@ -22,9 +20,9 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 	return &Timer{eng: eng, fn: fn}
 }
 
-// timerExpire is the shared expiry trampoline (arg is the *Timer).
-func timerExpire(arg any) {
-	t := arg.(*Timer)
+// timerExpire is the shared expiry trampoline (a0 is the *Timer).
+func timerExpire(a0, _ any) {
+	t := a0.(*Timer)
 	t.h = Handle{}
 	t.fn()
 }
@@ -32,13 +30,7 @@ func timerExpire(arg any) {
 // Arm (re)starts the timer to expire after d, canceling any pending expiry.
 func (t *Timer) Arm(d Duration) {
 	t.h.Cancel()
-	t.h = t.eng.ScheduleArg(d, timerExpire, t)
-}
-
-// ArmAt (re)starts the timer to expire at absolute time when.
-func (t *Timer) ArmAt(when Time) {
-	t.h.Cancel()
-	t.h = t.eng.AtArg(when, timerExpire, t)
+	t.h = t.eng.Schedule(d, timerExpire, t, nil)
 }
 
 // ArmIfStopped starts the timer only if it is not already pending.
@@ -82,10 +74,10 @@ func NewTicker(eng *Engine, period Duration, fn func()) *Ticker {
 	return &Ticker{eng: eng, period: period, fn: fn}
 }
 
-// tickerTick is the shared tick trampoline (arg is the *Ticker).
-func tickerTick(arg any) {
-	t := arg.(*Ticker)
-	t.h = t.eng.ScheduleArg(t.period, tickerTick, t)
+// tickerTick is the shared tick trampoline (a0 is the *Ticker).
+func tickerTick(a0, _ any) {
+	t := a0.(*Ticker)
+	t.h = t.eng.Schedule(t.period, tickerTick, t, nil)
 	t.fn()
 }
 
@@ -93,25 +85,11 @@ func tickerTick(arg any) {
 // a running ticker restarts its phase.
 func (t *Ticker) Start() {
 	t.h.Cancel()
-	t.h = t.eng.ScheduleArg(t.period, tickerTick, t)
+	t.h = t.eng.Schedule(t.period, tickerTick, t, nil)
 }
 
 // Stop halts the ticker.
 func (t *Ticker) Stop() {
 	t.h.Cancel()
 	t.h = Handle{}
-}
-
-// Running reports whether the ticker is active.
-func (t *Ticker) Running() bool { return t.h.Pending() }
-
-// Period returns the tick period.
-func (t *Ticker) Period() Duration { return t.period }
-
-// SetPeriod changes the period; it takes effect at the next rearm.
-func (t *Ticker) SetPeriod(p Duration) {
-	if p <= 0 {
-		panic("sim: SetPeriod must be positive")
-	}
-	t.period = p
 }

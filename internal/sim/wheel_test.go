@@ -16,10 +16,10 @@ type refEntry struct {
 }
 
 // TestWheelMatchesReferenceModel is the wheel's correctness property:
-// under random interleavings of scheduling (closure and arg APIs, delays
-// spanning the near heap, every wheel level, and the overflow heap) and
-// cancellation, events fire in exactly the (when, schedule-order) sequence
-// a naive sorted list predicts.
+// under random interleavings of scheduling (Schedule, At and the
+// ScheduleArg adapter, delays spanning the near heap, every wheel level,
+// and the overflow heap) and cancellation, events fire in exactly the
+// (when, schedule-order) sequence a naive sorted list predicts.
 func TestWheelMatchesReferenceModel(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := NewRand(seed, "wheel-prop")
@@ -33,14 +33,12 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 		var ref []refEntry
 		ord := 0
 
-		// Cancelable events. A raw *Event is only safe to cancel while the
-		// event is still pending (the pool recycles fired events), so the
-		// closure-API entries are dropped once they fire; Handles stay
-		// cancelable forever and must report dead after firing.
+		// Cancelable events. Handles stay cancelable forever and must
+		// report dead after firing, even once the pool has recycled the
+		// event for other work.
 		type live struct {
-			id     int
-			handle bool
-			cancel func() bool
+			id int
+			h  Handle
 		}
 		var lives []live
 		dead := map[int]bool{}
@@ -61,7 +59,7 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 				lives[i] = lives[len(lives)-1]
 				lives = lives[:len(lives)-1]
 				if dead[v.id] {
-					if v.handle && v.cancel() {
+					if v.h.Cancel() {
 						t.Errorf("seed %d: Cancel succeeded on fired handle %d", seed, v.id)
 					}
 					break
@@ -72,7 +70,7 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 						break
 					}
 				}
-				if !v.cancel() {
+				if !v.h.Cancel() {
 					t.Errorf("seed %d: Cancel failed for pending event %d", seed, v.id)
 				}
 			default:
@@ -83,22 +81,25 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 				id := ord
 				ref = append(ref, refEntry{when: e.Now() + Time(d), ord: ord, id: id})
 				ord++
-				record := func() {
-					got = append(got, fired{id, e.Now()})
-					dead[id] = true
+				record := func(a0, _ any) {
+					got = append(got, fired{a0.(int), e.Now()})
+					dead[a0.(int)] = true
 				}
-				if rng.Bool(0.5) {
-					ev := e.Schedule(d, record)
-					lives = append(lives, live{id, false, ev.Cancel})
-				} else {
-					h := e.ScheduleArg(d, func(any) { record() }, nil)
-					lives = append(lives, live{id, true, h.Cancel})
+				var h Handle
+				switch rng.Intn(3) {
+				case 0:
+					h = e.Schedule(d, record, id, nil)
+				case 1:
+					h = e.At(e.Now()+d, record, id, nil)
+				default:
+					h = e.ScheduleArg(d, func(a0 any) { record(a0, nil) }, id)
 				}
+				lives = append(lives, live{id, h})
 			}
 			// Advance unevenly; zero keeps several ops at one instant.
-			e.Schedule(Duration(rng.Uint64()&((1<<uint(rng.Intn(40)))-1)), step)
+			e.Schedule(Duration(rng.Uint64()&((1<<uint(rng.Intn(40)))-1)), Call, step, nil)
 		}
-		e.Schedule(0, step)
+		e.Schedule(0, Call, step, nil)
 		e.Run(maxTime - 1)
 
 		sort.SliceStable(ref, func(i, j int) bool {
@@ -134,11 +135,11 @@ func TestWheelFarFutureOrdering(t *testing.T) {
 	far := Time(1) << 50 // far past the wheel horizon
 	for i := 0; i < 32; i++ {
 		i := i
-		e.At(far, func() { order = append(order, i) })
+		e.At(far, Call, func() { order = append(order, i) }, nil)
 	}
 	// Intermediate traffic drags the cursor across every level.
 	for lvl := uint(0); lvl < 50; lvl += 3 {
-		e.At(Time(1)<<lvl, func() {})
+		e.At(Time(1)<<lvl, Call, func() {}, nil)
 	}
 	e.Run(far)
 	if len(order) != 32 {
@@ -155,9 +156,9 @@ func TestWheelFarFutureOrdering(t *testing.T) {
 // schedule, cancel, and fire.
 func TestEnginePendingExact(t *testing.T) {
 	e := NewEngine()
-	var evs []*Event
+	var evs []Handle
 	for i := 0; i < 10; i++ {
-		evs = append(evs, e.Schedule(Duration(i)*Millisecond, func() {}))
+		evs = append(evs, e.Schedule(Duration(i)*Millisecond, Call, func() {}, nil))
 	}
 	if got := e.Pending(); got != 10 {
 		t.Fatalf("Pending = %d, want 10", got)
@@ -181,15 +182,15 @@ func TestEnginePendingExact(t *testing.T) {
 // even after the engine recycles the underlying Event for new work.
 func TestHandleSurvivesReuse(t *testing.T) {
 	e := NewEngine()
-	h := e.ScheduleArg(Millisecond, func(any) {}, nil)
+	h := e.Schedule(Millisecond, nop, nil, nil)
 	e.Run(2 * Millisecond)
 	if h.Pending() {
 		t.Fatal("handle pending after its event fired")
 	}
-	// Recycle the pooled Event into fresh events; the old handle must not
+	// Recycle the pooled event into fresh events; the old handle must not
 	// alias them.
 	for i := 0; i < 8; i++ {
-		e.ScheduleArg(Duration(i+3)*Millisecond, func(any) {}, nil)
+		e.Schedule(Duration(i+3)*Millisecond, nop, nil, nil)
 	}
 	if h.Pending() {
 		t.Fatal("stale handle sees a recycled event as its own")
@@ -199,3 +200,5 @@ func TestHandleSurvivesReuse(t *testing.T) {
 	}
 	e.Run(Second)
 }
+
+func nop(_, _ any) {}

@@ -1,6 +1,6 @@
 // Package stats provides the measurement plumbing for the simulator:
 // exact percentile latency recording, time-weighted state accounting,
-// sliding rate windows, and time-series sampling for figure regeneration.
+// and time-series sampling for figure regeneration.
 package stats
 
 import (
@@ -35,6 +35,14 @@ func (l *LatencyRecorder) Record(d sim.Duration) {
 	l.samples = append(l.samples, d)
 	l.sorted = false
 	l.sum += float64(d)
+}
+
+// Merge folds other's observations into l, in other's recording order.
+func (l *LatencyRecorder) Merge(other *LatencyRecorder) {
+	l.samples = slices.Grow(l.samples, len(other.samples)) // grow once, not per sample
+	for _, d := range other.samples {
+		l.Record(d)
+	}
 }
 
 // Count returns the number of observations.
