@@ -47,10 +47,8 @@ func main() {
 		auditOn    = flag.Bool("audit", false, "run with the runtime invariant auditor; violations are reported and fail the run")
 		res        cliflags.Resilience
 		topo       cliflags.Topology
-		shards     cliflags.Shards
 		output     cliflags.Output
 	)
-	shards.Register()
 	res.Register()
 	topo.Register()
 	output.Register(false)
@@ -63,9 +61,12 @@ func main() {
 	if *interval <= 0 {
 		cliflags.Fatalf(tool, "-interval %v: must be positive", *interval)
 	}
+	// runner.New would quietly turn a non-positive count into GOMAXPROCS.
+	if *jobsN <= 0 {
+		cliflags.Fatalf(tool, "-jobs %d: must be positive", *jobsN)
+	}
 	res.Validate(tool)
 	topo.Validate(tool)
-	shards.Validate(tool)
 
 	prof := cliflags.Workload(tool, *workload)
 	lvl := cliflags.Level(tool, *level)
@@ -75,10 +76,7 @@ func main() {
 	// The snapshot pair holds two independent simulations; a two-worker
 	// pool runs them concurrently (trace runs always execute — the result
 	// cache never serves them).
-	pool := runner.New(runner.Options{
-		Jobs: *jobsN, Shards: shards.Count(),
-		Audit: *auditOn, Record: *auditOn,
-	})
+	pool := runner.New(runner.Options{Jobs: *jobsN, Audit: *auditOn, Record: *auditOn})
 	o.Runner = pool
 	cliflags.HandleSignals(tool, pool)
 	// finish applies the audit and interruption exit contract shared with

@@ -37,13 +37,17 @@ func ncaptrace(t *testing.T, args ...string) (int, string) {
 	return 0, stderr.String()
 }
 
-// A non-positive sampling interval is a usage error (exit 2 with a
-// message), not a crash.
+// A non-positive sampling interval or worker count is a usage error
+// (exit 2 with a message naming the flag), not a crash or a silent
+// fallback to GOMAXPROCS.
 func TestIntervalMustBePositive(t *testing.T) {
-	for _, iv := range []string{"0", "-1ms"} {
-		code, stderr := ncaptrace(t, "-interval", iv)
-		if first, _, _ := strings.Cut(stderr, "\n"); code != 2 || !strings.HasPrefix(first, "ncaptrace: -interval") {
-			t.Errorf("-interval %s: exit %d, first stderr line %q; want exit 2 naming the flag", iv, code, first)
+	for _, tc := range []struct{ flag, value string }{
+		{"-interval", "0"}, {"-interval", "-1ms"},
+		{"-jobs", "0"}, {"-jobs", "-1"},
+	} {
+		code, stderr := ncaptrace(t, tc.flag, tc.value)
+		if first, _, _ := strings.Cut(stderr, "\n"); code != 2 || !strings.HasPrefix(first, "ncaptrace: "+tc.flag+" ") {
+			t.Errorf("%s %s: exit %d, first stderr line %q; want exit 2 naming the flag", tc.flag, tc.value, code, first)
 		}
 	}
 }

@@ -286,9 +286,6 @@ func (s *Server) rememberServed(reqID uint64, body int) {
 	}
 }
 
-// DedupLen returns the served-response memory's current size (tests).
-func (s *Server) DedupLen() int { return len(s.dupServed) }
-
 // DedupRing returns the eviction ring's live length and backing capacity
 // (tests: both must stay bounded under a retry storm).
 func (s *Server) DedupRing() (live, backing int) {

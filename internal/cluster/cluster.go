@@ -394,8 +394,5 @@ func (c *Cluster) Switches() []*netsim.Switch {
 	return out
 }
 
-// ServerCount returns the number of fully modeled server nodes.
-func (c *Cluster) ServerCount() int { return len(c.nodes) }
-
 // Config returns the experiment configuration.
 func (c *Cluster) Config() Config { return c.cfg }

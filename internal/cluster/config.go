@@ -120,7 +120,10 @@ type Config struct {
 	// is test-asserted), so it is excluded from the runner's
 	// content-keyed cache identity. Runs that need a single observer —
 	// a telemetry registry (a sink, or a TraceInterval run's private
-	// one), audit, recording — clamp back to serial.
+	// one), audit, recording — clamp back to serial. No tool or runner
+	// option sets it: sharded runs are slower than serial at every count
+	// measured (DESIGN.md §1c), so only the differential tests and the
+	// benchmark's shard probe reach this path.
 	Shards int `json:"-"`
 }
 

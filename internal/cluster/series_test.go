@@ -27,7 +27,7 @@ func newSeriesRig(chip func(*sim.Engine) *cpu.Chip) *seriesRig {
 	r := &seriesRig{eng: sim.NewEngine()}
 	r.chip = chip(r.eng)
 	r.dev = nic.New(r.eng, 1, nic.DefaultConfig())
-	r.dev.SetIRQ(func() {})
+	r.dev.Queue(0).SetIRQ(func() {})
 	reg := telemetry.NewRegistry()
 	r.chip.RegisterTelemetry(reg, nil, "server.cpu")
 	r.dev.RegisterTelemetry(reg, nil, "server.nic")

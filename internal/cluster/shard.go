@@ -280,7 +280,7 @@ func (c Config) shardableUnits() int {
 }
 
 // initShards builds the engine partitions before graph construction.
-// Shard 0 reuses the primary engine so `-shards 1` is not merely
+// Shard 0 reuses the primary engine so `Shards: 1` is not merely
 // equivalent but the very same code path and object graph.
 func (c *Cluster) initShards(n int) {
 	c.engs = make([]*sim.Engine, n)

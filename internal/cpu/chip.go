@@ -128,9 +128,6 @@ func (c *Chip) Current() power.PState { return c.domains[0].Current() }
 // Target returns the first domain's latched transition target.
 func (c *Chip) Target() power.PState { return c.domains[0].Target() }
 
-// Transitioning reports whether the first domain is mid-transition.
-func (c *Chip) Transitioning() bool { return c.domains[0].transitioning }
-
 // SetPState requests a transition of every domain to ps.
 func (c *Chip) SetPState(ps power.PState) {
 	for _, d := range c.domains {

@@ -41,6 +41,15 @@ func newRig(hooks PowerHooks) *rig {
 	return r
 }
 
+// enableNCAP installs the enhanced NIC blocks on every queue and programs
+// the GET template, as the cluster does for an NCAP policy.
+func (r *rig) enableNCAP() {
+	for _, q := range r.dev.Queues() {
+		q.EnableNCAP(core.DefaultConfig(), chipState{r.chip})
+		q.Monitor().ProgramStrings("GET")
+	}
+}
+
 func TestRxPathDeliversThroughIRQAndSoftIRQ(t *testing.T) {
 	r := newRig(PowerHooks{})
 	r.dev.Receive(netsim.NewRequest(2, 1, 7, []byte("GET /")))
@@ -90,8 +99,7 @@ func TestITHighSequence(t *testing.T) {
 		MenuEnable:      func() { menuOff = false },
 		OndemandInhibit: func() { inhibited = true },
 	})
-	r.dev.EnableNCAP(core.DefaultConfig(), chipState{r.chip})
-	r.dev.Monitor().ProgramStrings("GET")
+	r.enableNCAP()
 	// Force a non-max current frequency so IT_HIGH isn't suppressed.
 	r.chip.SetPState(r.chip.Table().Min())
 	r.eng.Run(20 * sim.Microsecond)
@@ -118,8 +126,7 @@ func TestITLowReenablesMenuAndStepsDown(t *testing.T) {
 		MenuEnable:  func() { menuOn = true; menuOff = false },
 		StepDown:    func() { stepped = true },
 	})
-	r.dev.EnableNCAP(core.DefaultConfig(), chipState{r.chip})
-	r.dev.Monitor().ProgramStrings("GET")
+	r.enableNCAP()
 	r.chip.SetPState(r.chip.Table().Min())
 	r.eng.Run(20 * sim.Microsecond)
 
@@ -143,8 +150,7 @@ func TestCITWakePollsEmptyRingSafely(t *testing.T) {
 	// A CIT wake interrupt can arrive before any packet finishes DMA; the
 	// poll must handle the empty ring and unmask.
 	r := newRig(PowerHooks{})
-	r.dev.EnableNCAP(core.DefaultConfig(), chipState{r.chip})
-	r.dev.Monitor().ProgramStrings("GET")
+	r.enableNCAP()
 	r.eng.Run(sim.Millisecond) // long silent gap
 	r.dev.Receive(netsim.NewRequest(2, 1, 1, []byte("GET /")))
 	r.eng.Run(5 * sim.Millisecond)

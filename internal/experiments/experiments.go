@@ -44,9 +44,9 @@ type Options struct {
 
 	// Runner, when non-nil, executes every simulation batch through the
 	// shared worker pool (parallelism, caching, isolation). A nil Runner
-	// runs batches serially inline — same results, one at a time. Either
-	// way rows aggregate in submission order, so tables are byte-identical
-	// at any worker count.
+	// runs each batch on a fresh one-worker pool — same results, one at a
+	// time. Either way rows aggregate in submission order, so tables are
+	// byte-identical at any worker count.
 	Runner *runner.Pool
 }
 

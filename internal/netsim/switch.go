@@ -96,10 +96,6 @@ func (s *Switch) AddRoute(dst Addr, via ...*Link) {
 // uplinks to the spine tier.
 func (s *Switch) SetDefaultRoutes(via ...*Link) { s.defaultRoutes = via }
 
-// Port returns the egress link toward addr (nil if not attached). Fault
-// injectors for the switch→node direction attach here.
-func (s *Switch) Port(addr Addr) *Link { return s.ports[addr] }
-
 // Ports returns every egress link this switch owns — node ports first
 // is not guaranteed; callers aggregating occupancy must not depend on
 // order. Trunks created with Connect are not included (the caller wired

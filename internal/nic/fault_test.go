@@ -12,8 +12,9 @@ import (
 func TestCorruptFrameDroppedAtFCS(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
+	q := n.Queue(0)
 	irqs := 0
-	n.SetIRQ(func() { irqs++ })
+	q.SetIRQ(func() { irqs++ })
 
 	bad := req("GET /index.html")
 	bad.Corrupt = true
@@ -27,16 +28,16 @@ func TestCorruptFrameDroppedAtFCS(t *testing.T) {
 		t.Fatalf("corrupt frame accounted as received: pkts=%d bytes=%d",
 			n.RxPackets.Value(), n.RxBytes.Value())
 	}
-	if irqs != 0 || n.RxPending() != 0 {
-		t.Fatalf("corrupt frame reached the host: irqs=%d pending=%d", irqs, n.RxPending())
+	if irqs != 0 || q.RxPending() != 0 {
+		t.Fatalf("corrupt frame reached the host: irqs=%d pending=%d", irqs, q.RxPending())
 	}
 
 	// A clean frame after the drop flows normally.
 	n.Receive(req("GET /index.html"))
 	eng.Run(2 * sim.Millisecond)
-	if n.RxPackets.Value() != 1 || n.RxPending() != 1 {
+	if n.RxPackets.Value() != 1 || q.RxPending() != 1 {
 		t.Fatalf("clean frame lost after FCS drop: pkts=%d pending=%d",
-			n.RxPackets.Value(), n.RxPending())
+			n.RxPackets.Value(), q.RxPending())
 	}
 
 	n.ResetStats()

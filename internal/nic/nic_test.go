@@ -25,8 +25,9 @@ func req(payload string) *netsim.Packet {
 func TestRxInterruptAfterQuietPeriod(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
+	q := n.Queue(0)
 	var irqAt []sim.Time
-	n.SetIRQ(func() { irqAt = append(irqAt, eng.Now()) })
+	q.SetIRQ(func() { irqAt = append(irqAt, eng.Now()) })
 
 	n.Receive(req("GET /"))
 	eng.Run(sim.Millisecond)
@@ -38,19 +39,20 @@ func TestRxInterruptAfterQuietPeriod(t *testing.T) {
 	if irqAt[0] < 25*sim.Microsecond || irqAt[0] > 30*sim.Microsecond {
 		t.Fatalf("IRQ at %v, want ~25.6µs", irqAt[0])
 	}
-	if n.ReadICR()&ITRx == 0 {
+	if q.ReadICR()&ITRx == 0 {
 		t.Fatal("ICR missing IT_RX")
 	}
-	if n.RxPending() != 1 {
-		t.Fatalf("pending = %d", n.RxPending())
+	if q.RxPending() != 1 {
+		t.Fatalf("pending = %d", q.RxPending())
 	}
 }
 
 func TestAITTBoundsBurstDelay(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
+	q := n.Queue(0)
 	var irqAt []sim.Time
-	n.SetIRQ(func() { irqAt = append(irqAt, eng.Now()) })
+	q.SetIRQ(func() { irqAt = append(irqAt, eng.Now()) })
 
 	// A steady stream every 10 µs keeps rearming the PITT; the AITT must
 	// still fire within ~100 µs of the first DMA completion.
@@ -70,24 +72,25 @@ func TestAITTBoundsBurstDelay(t *testing.T) {
 func TestPollDrainsFIFO(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
-	n.SetIRQ(func() {})
+	q := n.Queue(0)
+	q.SetIRQ(func() {})
 	for i := 0; i < 5; i++ {
 		p := netsim.NewRequest(2, 1, uint64(i), []byte("GET /"))
 		n.Receive(p)
 	}
 	eng.Run(sim.Millisecond)
-	got := n.Poll(3)
+	got := q.Poll(3)
 	if len(got) != 3 || got[0].ReqID != 0 || got[2].ReqID != 2 {
 		t.Fatalf("poll = %v", got)
 	}
-	if n.RxPending() != 2 {
-		t.Fatalf("pending = %d", n.RxPending())
+	if q.RxPending() != 2 {
+		t.Fatalf("pending = %d", q.RxPending())
 	}
-	rest := n.Poll(64)
+	rest := q.Poll(64)
 	if len(rest) != 2 || rest[0].ReqID != 3 {
 		t.Fatalf("second poll = %v", rest)
 	}
-	if n.Poll(64) != nil {
+	if q.Poll(64) != nil {
 		t.Fatal("poll on empty returned packets")
 	}
 }
@@ -97,7 +100,8 @@ func TestRxRingOverflowDrops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RxRing = 4
 	n := New(eng, 1, cfg)
-	n.SetIRQ(func() {})
+	q := n.Queue(0)
+	q.SetIRQ(func() {})
 	for i := 0; i < 10; i++ {
 		n.Receive(req("GET /"))
 	}
@@ -105,25 +109,26 @@ func TestRxRingOverflowDrops(t *testing.T) {
 	if n.RxDrops.Value() != 6 {
 		t.Fatalf("drops = %d, want 6", n.RxDrops.Value())
 	}
-	if n.RxPending() != 4 {
-		t.Fatalf("pending = %d, want 4", n.RxPending())
+	if q.RxPending() != 4 {
+		t.Fatalf("pending = %d, want 4", q.RxPending())
 	}
 }
 
 func TestNAPIMasking(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
+	q := n.Queue(0)
 	irqs := 0
-	n.SetIRQ(func() { irqs++ })
+	q.SetIRQ(func() { irqs++ })
 
-	n.MaskRxIRQ()
+	q.MaskRxIRQ()
 	n.Receive(req("GET /"))
 	eng.Run(sim.Millisecond)
 	if irqs != 0 {
 		t.Fatalf("masked NIC raised %d IRQs", irqs)
 	}
 	// Unmasking with pending packets re-raises immediately.
-	n.UnmaskRxIRQ()
+	q.UnmaskRxIRQ()
 	if irqs != 1 {
 		t.Fatalf("unmask raised %d IRQs, want 1", irqs)
 	}
@@ -132,13 +137,14 @@ func TestNAPIMasking(t *testing.T) {
 func TestReadICRClears(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
-	n.SetIRQ(func() {})
+	q := n.Queue(0)
+	q.SetIRQ(func() {})
 	n.Receive(req("GET /"))
 	eng.Run(sim.Millisecond)
-	if v := n.ReadICR(); v&ITRx == 0 {
+	if v := q.ReadICR(); v&ITRx == 0 {
 		t.Fatalf("ICR = %b", v)
 	}
-	if v := n.ReadICR(); v != 0 {
+	if v := q.ReadICR(); v != 0 {
 		t.Fatalf("second read = %b, want 0", v)
 	}
 }
@@ -146,11 +152,12 @@ func TestReadICRClears(t *testing.T) {
 func TestNCAPHighOnBurst(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
+	q := n.Queue(0)
 	chip := &chipStub{}
 	var causes []uint32
-	n.SetIRQ(func() { causes = append(causes, n.ReadICR()) })
-	n.EnableNCAP(core.DefaultConfig(), chip)
-	n.Monitor().ProgramStrings("GET")
+	q.SetIRQ(func() { causes = append(causes, q.ReadICR()) })
+	q.EnableNCAP(core.DefaultConfig(), chip)
+	q.Monitor().ProgramStrings("GET")
 
 	// A dense burst: 10 GETs in the first 20 µs => ReqRate at the first
 	// MITT expiry (50µs) is 200K RPS > RHT.
@@ -179,14 +186,15 @@ func TestNCAPCITWakeBeforeDMACompletes(t *testing.T) {
 	// and moderation delay — the overlap that hides the wake latency.
 	eng := sim.NewEngine()
 	n := testNIC(eng)
+	q := n.Queue(0)
 	var irqAt []sim.Time
 	var causes []uint32
-	n.SetIRQ(func() {
+	q.SetIRQ(func() {
 		irqAt = append(irqAt, eng.Now())
-		causes = append(causes, n.ReadICR())
+		causes = append(causes, q.ReadICR())
 	})
-	n.EnableNCAP(core.DefaultConfig(), &chipStub{})
-	n.Monitor().ProgramStrings("GET")
+	q.EnableNCAP(core.DefaultConfig(), &chipStub{})
+	q.Monitor().ProgramStrings("GET")
 
 	// Arrange a long silent gap: start the clock 1 ms in.
 	eng.Run(sim.Millisecond)
@@ -211,14 +219,15 @@ func TestNCAPCITWakeBeforeDMACompletes(t *testing.T) {
 func TestNCAPNoCITWakeForUnmatchedTraffic(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
+	q := n.Queue(0)
 	var irqAt []sim.Time
 	var causes []uint32
-	n.SetIRQ(func() {
+	q.SetIRQ(func() {
 		irqAt = append(irqAt, eng.Now())
-		causes = append(causes, n.ReadICR())
+		causes = append(causes, q.ReadICR())
 	})
-	n.EnableNCAP(core.DefaultConfig(), &chipStub{})
-	n.Monitor().ProgramStrings("GET")
+	q.EnableNCAP(core.DefaultConfig(), &chipStub{})
+	q.Monitor().ProgramStrings("GET")
 
 	eng.Run(sim.Millisecond)
 	// Bulk traffic (no template match) must not trigger the CIT path: no
@@ -243,10 +252,11 @@ func TestNCAPNoCITWakeForUnmatchedTraffic(t *testing.T) {
 func TestNCAPLowAfterQuiet(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
+	q := n.Queue(0)
 	var causes []uint32
-	n.SetIRQ(func() { causes = append(causes, n.ReadICR()) })
-	n.EnableNCAP(core.DefaultConfig(), &chipStub{})
-	n.Monitor().ProgramStrings("GET")
+	q.SetIRQ(func() { causes = append(causes, q.ReadICR()) })
+	q.EnableNCAP(core.DefaultConfig(), &chipStub{})
+	q.Monitor().ProgramStrings("GET")
 	// Nothing arrives at all: after ~1.05ms of quiet MITT periods, IT_LOW.
 	eng.Run(3 * sim.Millisecond)
 	lows := 0
@@ -263,9 +273,10 @@ func TestNCAPLowAfterQuiet(t *testing.T) {
 func TestNCAPLowSuppressedAtMinFreq(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
+	q := n.Queue(0)
 	irqs := 0
-	n.SetIRQ(func() { irqs++ })
-	n.EnableNCAP(core.DefaultConfig(), &chipStub{atMin: true})
+	q.SetIRQ(func() { irqs++ })
+	q.EnableNCAP(core.DefaultConfig(), &chipStub{atMin: true})
 	eng.Run(10 * sim.Millisecond)
 	if irqs != 0 {
 		t.Fatalf("IRQs = %d at min frequency, want 0", irqs)
@@ -275,7 +286,8 @@ func TestNCAPLowSuppressedAtMinFreq(t *testing.T) {
 func TestTransmitCountsAndNCAPTxCnt(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
-	n.EnableNCAP(core.DefaultConfig(), &chipStub{})
+	q := n.Queue(0)
+	q.EnableNCAP(core.DefaultConfig(), &chipStub{})
 	sink := &recvSink{}
 	n.SetLink(netsim.NewLink(eng, netsim.DefaultLinkConfig(), sink))
 	pkts := netsim.SegmentResponse(nil, 1, 2, 9, 4000)
@@ -304,11 +316,12 @@ func (r *recvSink) Receive(p *netsim.Packet) { r.got = append(r.got, p) }
 func TestStockNICHasNoNCAP(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
-	if n.NCAPEnabled() || n.Monitor() != nil || n.Decision() != nil {
+	q := n.Queue(0)
+	if n.NCAPEnabled() || q.Monitor() != nil || q.Decision() != nil {
 		t.Fatal("stock NIC exposes NCAP blocks")
 	}
 	irqs := 0
-	n.SetIRQ(func() { irqs++ })
+	q.SetIRQ(func() { irqs++ })
 	eng.Run(10 * sim.Millisecond) // MITT never started
 	if irqs != 0 {
 		t.Fatalf("stock NIC posted %d spurious IRQs", irqs)
@@ -318,7 +331,8 @@ func TestStockNICHasNoNCAP(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
-	n.SetIRQ(func() {})
+	q := n.Queue(0)
+	q.SetIRQ(func() {})
 	n.Receive(req("GET /"))
 	eng.Run(sim.Millisecond)
 	n.ResetStats()
@@ -332,17 +346,18 @@ func TestDMASerializesTransfers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DMASetup = 10 * sim.Microsecond
 	n := New(eng, 1, cfg)
-	n.SetIRQ(func() {})
+	q := n.Queue(0)
+	q.SetIRQ(func() {})
 	// Two simultaneous arrivals: second DMA completes ~10µs after first.
 	n.Receive(req("GET /a"))
 	n.Receive(req("GET /b"))
 	eng.Run(15 * sim.Microsecond)
-	if n.RxPending() != 1 {
-		t.Fatalf("pending after 15µs = %d, want 1 (DMA serialized)", n.RxPending())
+	if q.RxPending() != 1 {
+		t.Fatalf("pending after 15µs = %d, want 1 (DMA serialized)", q.RxPending())
 	}
 	eng.Run(25 * sim.Microsecond)
-	if n.RxPending() != 2 {
-		t.Fatalf("pending after 25µs = %d, want 2", n.RxPending())
+	if q.RxPending() != 2 {
+		t.Fatalf("pending after 25µs = %d, want 2", q.RxPending())
 	}
 }
 

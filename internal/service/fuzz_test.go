@@ -80,6 +80,13 @@ func FuzzParseSubmit(f *testing.F) {
 	f.Add([]byte(`{"family":"all","windows":{"warmup_ns":1,"measure_ns":2,"drain_ns":3}}`))
 	f.Add([]byte(`{"family":"e13","overload":{"admit":"codel","queueCap":64}}`))
 	f.Add([]byte(`{"family":"e11","overload":{"admit":"martian"}}`))
+	f.Add([]byte(`{"family":"e11","overload":{"maxInflight":-1}}`))
+	f.Add([]byte(`{"family":"e11","overload":{"codelTarget":-1}}`))
+	f.Add([]byte(`{"family":"e11","overload":{"codelInterval":-1}}`))
+	f.Add([]byte(`{"family":"e11","overload":{"dedupCap":-1}}`))
+	f.Add([]byte(`{"family":"e11","overload":{"retryBurst":-1}}`))
+	f.Add([]byte(`{"family":"e11","overload":{"breakerProbes":-1}}`))
+	f.Add([]byte(`{"family":"e11","overload":{"breakerCooldown":-1}}`))
 	f.Add([]byte(`{"family":"e11","topology":{"racks":[]}}`))
 	f.Add([]byte(`{"family":"nope"}`))
 	f.Add([]byte(`{"family":"e11","bogus":1}`))

@@ -126,6 +126,13 @@ func TestHTTPMalformedRequests(t *testing.T) {
 		`{"family":"e11","workload":"oracle"}`,
 		`{"family":"e11","windows":{"warmup_ns":0,"measure_ns":1,"drain_ns":1}}`,
 		`{"family":"e11","overload":{"admit":"martian"}}`,
+		`{"family":"e11","overload":{"maxInflight":-1}}`,
+		`{"family":"e11","overload":{"codelTarget":-1}}`,
+		`{"family":"e11","overload":{"codelInterval":-1}}`,
+		`{"family":"e11","overload":{"dedupCap":-1}}`,
+		`{"family":"e11","overload":{"retryBurst":-1}}`,
+		`{"family":"e11","overload":{"breakerProbes":-1}}`,
+		`{"family":"e11","overload":{"breakerCooldown":-1}}`,
 		`{"family":"e11","seed":"not a number"}`,
 		"{\"family\":\"e11\",\"workload\":\"\x00\"}",
 	} {

@@ -113,10 +113,6 @@ func (l *LatencyRecorder) Summarize() Summary {
 	}
 }
 
-// Samples returns the raw observations (order unspecified). The returned
-// slice aliases internal storage; callers must not modify it.
-func (l *LatencyRecorder) Samples() []sim.Duration { return l.samples }
-
 // Reset discards all observations.
 func (l *LatencyRecorder) Reset() {
 	l.samples = l.samples[:0]

@@ -12,10 +12,10 @@ import (
 
 func TestConstructorsCount(t *testing.T) {
 	cases := []struct {
-		name              string
-		s                 *Spec
-		servers, clients  int
-		racks, spines     int
+		name             string
+		s                *Spec
+		servers, clients int
+		racks, spines    int
 	}{
 		{"star", Star(3), 1, 3, 1, 0},
 		{"rack", Rack(16, 8), 16, 8, 1, 0},
