@@ -140,8 +140,13 @@ func main() {
 			fmt.Printf("traffic: trace=%.12s intended=%d lagged=%d lag-max=%v\n",
 				res.TraceHash, res.IntendedSends, res.LaggedSends, res.SendLagMax)
 		}
-		fmt.Printf("simulator: %d events in %v (%.1f Mevents/s)\n",
-			res.Events, wall.Round(time.Millisecond), float64(res.Events)/wall.Seconds()/1e6)
+		if outc.CacheHit {
+			fmt.Printf("simulator: %d model events; engine events unavailable (cached result)\n", res.Events)
+		} else {
+			fmt.Printf("simulator: %d model events, %d engine events in %v (%.1f Mevents/s)\n",
+				res.Events, outc.EngineEvents, wall.Round(time.Millisecond),
+				float64(outc.EngineEvents)/wall.Seconds()/1e6)
+		}
 	}
 
 	if traffic.RecordTrace != "" {

@@ -96,7 +96,7 @@ type Client struct {
 	running     bool
 
 	// Replay switches the client to schedule replay: Start stops
-	// emitting bursts and the cluster fires pre-scheduled ReplayItems
+	// emitting bursts and the cluster calls ReplaySend per trace record
 	// instead (see internal/workload). Set before Start.
 	Replay bool
 	// Targets, when non-empty, fans the request stream across several
@@ -173,11 +173,6 @@ func NewClient(eng *sim.Engine, addr, server netsim.Addr, uplink *netsim.Link, p
 // Addr returns the client's network address.
 func (c *Client) Addr() netsim.Addr { return c.addr }
 
-// Engine returns the engine the client schedules on — its own shard's
-// in a sharded run (see internal/cluster), so pre-scheduled work aimed
-// at this client (trace replay) must land here, not on the primary.
-func (c *Client) Engine() *sim.Engine { return c.eng }
-
 // Latency returns the client's RTT recorder.
 func (c *Client) Latency() *stats.LatencyRecorder { return c.lat }
 
@@ -185,8 +180,8 @@ func (c *Client) Latency() *stats.LatencyRecorder { return c.lat }
 func (c *Client) Outstanding() int { return len(c.pending) }
 
 // Start begins emitting bursts after the configured offset. A Replay
-// client only marks itself running: its sends were pre-scheduled from
-// the trace, every one of which fires regardless of Stop — mirroring
+// client only marks itself running: the cluster sends its trace
+// records, every one of which fires regardless of Stop — mirroring
 // burst mode, where requests already scheduled within a burst still go
 // out after Stop.
 func (c *Client) Start() {
@@ -299,33 +294,21 @@ func (c *Client) dest(seq uint64) netsim.Addr {
 	return c.Targets[seq%uint64(len(c.Targets))]
 }
 
-// ReplayItem is one pre-scheduled trace send, owned by the cluster and
-// fired through ReplayFire at its At time.
-type ReplayItem struct {
-	C *Client
-	// Sched is the trace's intended send time; At the actual (pacing
-	// may push it later). Latency is charged from Sched.
-	Sched, At sim.Time
-	Flow      int
-	ReqBytes  int
-	RespHint  int
-	Bulk      bool
-}
-
-// ReplayFire is the engine trampoline for scheduled trace sends (arg is
-// the *ReplayItem).
-func ReplayFire(a0, _ any) { it := a0.(*ReplayItem); it.C.replaySend(it) }
-
-func (c *Client) replaySend(it *ReplayItem) {
+// ReplaySend transmits one replayed trace record now: a bulk frame, or
+// a request of reqBytes whose response body respHint pins (0: drawn by
+// the server). sched is the trace's intended send time; the actual send
+// (now) may lag it under pacing, and latency is charged from sched. The
+// cluster calls it from its replay event, which counts as a pacing fire.
+func (c *Client) ReplaySend(sched sim.Time, reqBytes, respHint int, bulk bool) {
 	c.pacingFires++
-	c.Lag.Record(c.eng.Now() - it.Sched)
-	if it.Bulk {
+	c.Lag.Record(c.eng.Now() - sched)
+	if bulk {
 		// One-way background frame: no pending state, no RTO, payload
 		// NCAP's latency-critical templates must not match.
 		pkt := netsim.AllocPacket()
 		pkt.Src, pkt.Dst, pkt.Kind = c.addr, c.server, netsim.KindBulk
-		pkt.Payload = c.sizedPayload(&c.bulkPayloads, it.ReqBytes, "PUT /trace-bulk")
-		pkt.PayloadLen = it.ReqBytes
+		pkt.Payload = c.sizedPayload(&c.bulkPayloads, reqBytes, "PUT /trace-bulk")
+		pkt.PayloadLen = reqBytes
 		c.BulkSent.Inc()
 		c.uplink.Send(pkt)
 		return
@@ -334,10 +317,10 @@ func (c *Client) replaySend(it *ReplayItem) {
 		c.BreakerDropped.Inc()
 		return
 	}
-	pr := c.newPending(it.Sched)
-	pr.respHint = it.RespHint
-	if it.ReqBytes != len(c.payload) {
-		pr.payload = c.sizedPayload(&c.reqPayloads, it.ReqBytes, "")
+	pr := c.newPending(sched)
+	pr.respHint = respHint
+	if reqBytes != len(c.payload) {
+		pr.payload = c.sizedPayload(&c.reqPayloads, reqBytes, "")
 	}
 	c.Sent.Inc()
 	c.Budget.Earn()

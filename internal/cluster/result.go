@@ -114,7 +114,11 @@ type Result struct {
 	Switches   []SwitchStats `json:",omitempty"`
 	Unroutable int64         `json:",omitempty"`
 
-	// Events is the simulator event count (progress metric).
+	// Events is the model-level event count up to the end of the
+	// measurement window: engine fires, plus link departures retired
+	// without an event, minus audit ticks, minus client pacing fires in
+	// recording/replay runs. It counts what the model did, not how the
+	// engine executed it (Cluster.EngineEvents reports that).
 	Events uint64
 }
 
@@ -371,14 +375,23 @@ func (c *Cluster) collect(energyJ float64) Result {
 	// between audited and unaudited runs (the ticks are pure observation).
 	// Sharded runs sum over every partition: cross-shard delivery swaps a
 	// sender-side event for one injected on the receiver, one for one.
-	events := c.firedEvents()
+	// Links retire departed frames without an event (netsim.Link.drain);
+	// adding them back counts one event per departure, as a dequeue
+	// event each.
+	events := c.EngineEvents()
+	for _, l := range c.faultLinks {
+		events += uint64(l.Departed())
+	}
+	for _, l := range c.trunks {
+		events += uint64(l.Departed())
+	}
 	if c.aud != nil {
 		events -= c.aud.ticks
 	}
 	if c.accounting {
 		// Burst pacing and trace replay reach the same arrivals through
 		// different event shapes (per-burst ticks + per-request sends vs
-		// one pre-scheduled fire per record). Subtracting each client's
+		// one replay fire per record). Subtracting each client's
 		// own pacing events makes Events — and with it the whole Result —
 		// byte-identical between a recorded run and its replay.
 		for _, cl := range c.Clients {

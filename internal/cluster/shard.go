@@ -342,11 +342,12 @@ func (c *Cluster) advance(until sim.Time) {
 	c.shards.Advance(until)
 }
 
-// firedEvents sums executed events across every engine. Cross-shard
-// delivery replaces the sender-side delivery event with one injected
-// event on the receiver, one for one, so the total matches the serial
-// run's exactly.
-func (c *Cluster) firedEvents() uint64 {
+// EngineEvents sums the events every engine has executed so far: the
+// simulator's real work, an execution property like wall time (Result.Events
+// is the model-level count). Cross-shard delivery replaces the
+// sender-side delivery event with one injected event on the receiver,
+// one for one, so the total matches the serial run's exactly.
+func (c *Cluster) EngineEvents() uint64 {
 	if c.shards == nil {
 		return c.eng.Fired()
 	}

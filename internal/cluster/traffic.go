@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"ncap/internal/app"
 	"ncap/internal/sim"
 	"ncap/internal/workload"
 )
@@ -63,37 +63,73 @@ func (c *Cluster) installTraffic() {
 	}
 }
 
-// scheduleReplay turns the trace into pre-scheduled client sends.
-// Coordinated omission: each record keeps its scheduled time (latency
-// origin) while the actual send is pushed by the trace's per-client
-// pacing floor; the slip lands in the client's LagMeter. The stable sort
-// keeps same-instant sends in record order, so replaying a captured
-// trace reproduces the original engine FIFO order exactly.
+// replayItem is one trace record's place in the replayed schedule: its
+// actual send time, the shard of its sending client and its index in
+// Trace.Records.
+type replayItem struct {
+	at  sim.Time
+	sh  int32
+	rec int32 // < workload.MaxTraceRecords
+}
+
+// replayStream is one engine's share of the replayed schedule, in send
+// order. Only its next item is ever pending: each fire arms the item
+// after it with its key from the block reserved at New, so the stream
+// fires exactly where one pre-scheduled event per record would have.
+type replayStream struct {
+	c     *Cluster
+	eng   *sim.Engine
+	key   sim.Key
+	items []replayItem
+	next  int
+}
+
+// replayFire sends the stream's next record and arms the one after it
+// (a0 is the *replayStream).
+func replayFire(a0, _ any) {
+	s := a0.(*replayStream)
+	r := &s.c.replayTrace.Records[s.items[s.next].rec]
+	s.next++
+	if s.next < len(s.items) {
+		s.eng.AtKey(s.items[s.next].at, s.key.Nth(s.next), replayFire, s, nil)
+	}
+	s.c.Clients[r.Client].ReplaySend(r.T, r.Req, r.Resp, r.Class == workload.ClassBulk)
+}
+
+// scheduleReplay turns the trace into one chained send stream per
+// engine. Coordinated omission: each record keeps its scheduled time
+// (latency origin) while the actual send is pushed by the trace's
+// per-client pacing floor; the slip lands in the client's LagMeter. The
+// stable sort keeps same-instant sends in record order, so replaying a
+// captured trace reproduces the original engine FIFO order exactly.
+// Each engine reserves one key per record here, where scheduling them
+// all would have stamped them, so every event of the run keeps its
+// place in the fire order while only one send per engine is pending.
 func (c *Cluster) scheduleReplay() {
 	t := c.replayTrace
 	next := make([]sim.Time, len(c.Clients))
-	items := make([]app.ReplayItem, len(t.Records))
+	items := make([]replayItem, len(t.Records))
 	for i := range t.Records {
 		r := &t.Records[i]
-		at := r.T
-		if at < next[r.Client] {
-			at = next[r.Client]
-		}
+		at := max(r.T, next[r.Client])
 		next[r.Client] = at + t.MinGap
-		items[i] = app.ReplayItem{
-			C:     c.Clients[r.Client],
-			Sched: r.T, At: at,
-			Flow: r.Flow, ReqBytes: r.Req, RespHint: r.Resp,
-			Bulk: r.Class == workload.ClassBulk,
-		}
+		// Each send fires on its own client's engine, which in a sharded
+		// run is the client's shard; serially every client is on the
+		// primary engine.
+		items[i] = replayItem{at: at, sh: int32(c.shardOf(r.Client)), rec: int32(i)}
 	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].At < items[j].At })
-	for i := range items {
-		// Each fire is scheduled on its own client's engine, which in a
-		// sharded run is the client's shard. Serially every client
-		// reports the primary engine, preserving the historical global
-		// FIFO order exactly.
-		items[i].C.Engine().At(items[i].At, app.ReplayFire, &items[i], nil)
+	slices.SortStableFunc(items, func(a, b replayItem) int {
+		return cmp.Or(cmp.Compare(a.sh, b.sh), cmp.Compare(a.at, b.at))
+	})
+	for len(items) > 0 {
+		n := 1
+		for n < len(items) && items[n].sh == items[0].sh {
+			n++
+		}
+		s := &replayStream{c: c, eng: c.shardEng(int(items[0].sh)), items: items[:n:n]}
+		s.key = s.eng.Reserve(n)
+		s.eng.AtKey(s.items[0].at, s.key, replayFire, s, nil)
+		items = items[n:]
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ncap/internal/app"
+	"ncap/internal/resilience"
 	"ncap/internal/sim"
 	"ncap/internal/workload"
 )
@@ -181,5 +182,26 @@ func TestLegacyConfigSerializationUnchanged(t *testing.T) {
 	}
 	if _, ok := m["Traffic"]; ok {
 		t.Fatalf("legacy config serialization gained a Traffic field: %s", blob)
+	}
+}
+
+// TestReplayStreamsSends: trace replay keeps one send per engine pending
+// instead of pre-scheduling every record at New. E13's memcached
+// flashcrowd cell at 2× capacity replays about 80k records.
+func TestReplayStreamsSends(t *testing.T) {
+	prof := app.MemcachedProfile()
+	cfg := DefaultConfig(NcapAggr, prof, 2*LoadRPS(prof.Name, HighLoad))
+	cfg.Traffic = &workload.Spec{Scenario: workload.Scenario{Name: workload.ScenarioFlashCrowd}}
+	cfg.Overload = &resilience.Spec{
+		QueueCap: resilience.DefaultQueueCap, Admit: resilience.AdmitDeadline,
+		Deadline: 2 * PaperSLA(prof.Name), RetryBudget: 0.1, RetryBurst: 10,
+		BreakerThreshold: 8, JitterBackoff: true, DedupCap: 4096,
+	}
+	c := New(cfg)
+	if n := len(c.replayTrace.Records); n < 50_000 {
+		t.Fatalf("flashcrowd trace has %d records, want a large replay", n)
+	}
+	if n := c.Engine().Pending(); n > 10 {
+		t.Fatalf("%d events pending after New, want at most 10", n)
 	}
 }

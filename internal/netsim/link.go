@@ -36,12 +36,14 @@ type Link struct {
 	queued  int // bytes committed to the egress buffer but not yet on the wire
 	peak    int // high-water mark of queued over the whole run
 
-	// deq is a FIFO of wire sizes awaiting their dequeue events (one per
-	// committed frame, in serialization order). Keeping sizes here instead
-	// of capturing the packet in a dequeue closure lets frames be released
-	// to the pool the moment they are dropped or delivered.
-	deq     []int
-	deqHead int
+	// deq is the FIFO of committed frames still holding egress-buffer
+	// bytes, in serialization order. No event frees them: each entry
+	// holds the engine key a dequeue event would have had, and drain
+	// retires every entry the engine reports Due before anyone reads
+	// queued. departed counts the retired entries.
+	deq      []departure
+	deqHead  int
+	departed int64
 
 	// Bytes counts payload+header bytes successfully transmitted; Drops
 	// counts frames lost to a full egress buffer.
@@ -104,16 +106,32 @@ func (l *Link) SetInjector(inj *fault.Injector) { l.inj = inj }
 // Injector returns the attached fault injector (nil on a perfect link).
 func (l *Link) Injector() *fault.Injector { return l.inj }
 
-// linkDequeue frees the head frame's egress-buffer reservation when its
-// serialization completes (arg is the *Link).
-func linkDequeue(a0, _ any) {
-	l := a0.(*Link)
-	l.queued -= l.deq[l.deqHead]
-	l.deqHead++
-	if l.deqHead == len(l.deq) {
-		l.deq = l.deq[:0]
-		l.deqHead = 0
+// departure is one committed frame's egress-buffer reservation: its
+// wire size, the instant its serialization ends, and its place in the
+// engine's fire order at that instant.
+type departure struct {
+	ws  int
+	at  sim.Time
+	key sim.Key
+}
+
+// drain frees the reservation of every frame whose serialization has
+// ended by the engine's current point in the fire order: exactly the
+// frames whose dequeue event would have fired by now, so a frame that
+// departs at the instant of a Send is freed before the Send's drop
+// decision iff the event would have fired first.
+func (l *Link) drain() {
+	for l.deqHead < len(l.deq) {
+		d := &l.deq[l.deqHead]
+		if !l.eng.Due(d.at, d.key) {
+			return
+		}
+		l.queued -= d.ws
+		l.departed++
+		l.deqHead++
 	}
+	l.deq = l.deq[:0]
+	l.deqHead = 0
 }
 
 // linkDeliver hands an arrived frame to the link's receiver (a0 is the
@@ -145,15 +163,15 @@ func (l *Link) AuditConservation(a *audit.Auditor) {
 		l.audSent-l.audFaultDrops+l.audDups, l.audDelivered)
 }
 
-// pushDeq appends a wire size to the dequeue FIFO, compacting the
-// consumed prefix once it dominates the slice.
-func (l *Link) pushDeq(ws int) {
+// pushDeq appends a departure to the FIFO, compacting the consumed
+// prefix once it dominates the slice.
+func (l *Link) pushDeq(d departure) {
 	if l.deqHead > 32 && l.deqHead*2 >= len(l.deq) {
 		n := copy(l.deq, l.deq[l.deqHead:])
 		l.deq = l.deq[:n]
 		l.deqHead = 0
 	}
-	l.deq = append(l.deq, ws)
+	l.deq = append(l.deq, d)
 }
 
 // Send enqueues a frame for transmission, taking ownership of it: dropped
@@ -165,6 +183,7 @@ func (l *Link) Send(p *Packet) bool {
 	if l.aud != nil {
 		l.aud.adopt(p, "link."+l.audName)
 	}
+	l.drain()
 	if l.busyTil < now {
 		l.busyTil = now
 	}
@@ -185,8 +204,7 @@ func (l *Link) Send(p *Packet) bool {
 	l.busyTil += txTime
 	arrival := l.busyTil + l.cfg.Latency
 	l.Bytes.Add(int64(ws))
-	l.pushDeq(ws)
-	l.eng.At(l.busyTil, linkDequeue, l, nil)
+	l.pushDeq(departure{ws: ws, at: l.busyTil, key: l.eng.Reserve(1)})
 	if l.inj != nil {
 		if !l.sendFaulty(p, arrival) {
 			return true // serialized, then lost on the medium
@@ -262,7 +280,18 @@ func (l *Link) sendFaulty(p *Packet, arrival sim.Time) bool {
 func (l *Link) Busy() bool { return l.busyTil > l.eng.Now() }
 
 // QueuedBytes returns the bytes waiting in (or entering) the egress buffer.
-func (l *Link) QueuedBytes() int { return l.queued }
+func (l *Link) QueuedBytes() int {
+	l.drain()
+	return l.queued
+}
+
+// Departed returns how many committed frames have finished serializing
+// and left the egress buffer: one per dequeue event the link no longer
+// schedules (see drain).
+func (l *Link) Departed() int64 {
+	l.drain()
+	return l.departed
+}
 
 // PeakQueuedBytes returns the egress buffer's high-water mark over the
 // whole run. It is never reset — not at the measurement boundary, not

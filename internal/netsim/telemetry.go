@@ -12,7 +12,7 @@ func (l *Link) RegisterTelemetry(reg *telemetry.Registry, tr *telemetry.EventTra
 	l.name = prefix
 	reg.Counter(prefix+".bytes", l.Bytes.Value)
 	reg.Counter(prefix+".drops", l.Drops.Value)
-	reg.Gauge(prefix+".queued_bytes", func() float64 { return float64(l.queued) })
+	reg.Gauge(prefix+".queued_bytes", func() float64 { return float64(l.QueuedBytes()) })
 	if l.inj != nil {
 		reg.Counter(prefix+".fault.drops", l.FaultDrops.Value)
 		reg.Counter(prefix+".fault.corrupts", l.FaultCorrupts.Value)

@@ -92,6 +92,11 @@ type Outcome struct {
 	// Violations are the invariant violations an audited run collected
 	// (Options.Audit); nil when auditing is off or the run was clean.
 	Violations []audit.Violation
+	// EngineEvents is how many events the simulation engine executed
+	// (cluster.Cluster.EngineEvents, whole run): execution metadata like
+	// Elapsed, never cached. Zero on a cache hit, a failure, or with a
+	// custom Executor.
+	EngineEvents uint64
 }
 
 // Stats accumulates across every Run on a pool.
@@ -320,7 +325,8 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 	}
 	for attempt := 0; ; attempt++ {
 		o.Attempts = attempt + 1
-		o.Result, o.Violations, o.Err = p.execute(job)
+		r := p.execute(job)
+		o.Result, o.Violations, o.EngineEvents, o.Err = r.res, r.violations, r.events, r.err
 		if o.Err == nil || attempt >= p.opts.Retries {
 			break
 		}
@@ -355,16 +361,17 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 type jobResult struct {
 	res        cluster.Result
 	violations []audit.Violation
+	events     uint64
 	err        error
 }
 
 // execute runs one simulation in its own goroutine so a panic inside the
 // simulator (a pathological configuration tripping an internal invariant)
 // or a hung run cannot take down or stall the whole sweep.
-func (p *Pool) execute(job Job) (cluster.Result, []audit.Violation, error) {
+func (p *Pool) execute(job Job) jobResult {
 	if p.opts.Executor != nil {
 		res, err := p.opts.Executor(job)
-		return res, nil, err
+		return jobResult{res: res, err: err}
 	}
 	ch := make(chan jobResult, 1)
 	go func() {
@@ -376,20 +383,19 @@ func (p *Pool) execute(job Job) (cluster.Result, []audit.Violation, error) {
 		}()
 		cl := cluster.New(job.Config)
 		res := cl.Run()
-		ch <- jobResult{res: res, violations: cl.AuditViolations()}
+		ch <- jobResult{res: res, violations: cl.AuditViolations(), events: cl.EngineEvents()}
 	}()
 
 	if p.opts.Timeout <= 0 {
-		r := <-ch
-		return r.res, r.violations, r.err
+		return <-ch
 	}
 	timer := time.NewTimer(p.opts.Timeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
-		return r.res, r.violations, r.err
+		return r
 	case <-timer.C:
-		return cluster.Result{}, nil, fmt.Errorf("runner: job %q exceeded the %v wall-clock timeout",
-			job.Tag, p.opts.Timeout)
+		return jobResult{err: fmt.Errorf("runner: job %q exceeded the %v wall-clock timeout",
+			job.Tag, p.opts.Timeout)}
 	}
 }

@@ -97,6 +97,9 @@ func TestCacheRoundTrip(t *testing.T) {
 		if o.CacheHit {
 			t.Fatalf("job %d hit a cold cache", i)
 		}
+		if o.EngineEvents == 0 {
+			t.Fatalf("job %d ran but reports no engine events", i)
+		}
 	}
 
 	// A fresh pool over the same dir must hit on every job and return
@@ -108,6 +111,9 @@ func TestCacheRoundTrip(t *testing.T) {
 		}
 		if !o.CacheHit {
 			t.Fatalf("job %d missed a warm cache", i)
+		}
+		if o.EngineEvents != 0 {
+			t.Fatalf("job %d: cache hit reports %d engine events, want 0 (never cached)", i, o.EngineEvents)
 		}
 		if !reflect.DeepEqual(o.Result, first[i].Result) {
 			t.Fatalf("job %d: cached result differs from computed", i)

@@ -89,6 +89,26 @@ const (
 // callback, so the scheduling methods hand out a generation-checked Handle
 // rather than the pointer.
 type event struct {
+	order
+	gen uint64 // incremented on recycle; validates Handles
+
+	// Container linkage: heap index for inNear/inOverflow, intrusive
+	// doubly-linked bucket list plus (level, slot) for inWheel. The free
+	// list reuses next.
+	index       int
+	next, prev  *event
+	level, slot uint8
+	where       uint8
+
+	fn     func(a0, a1 any)
+	a0, a1 any
+
+	eng *Engine
+}
+
+// order is an event's position in the fire order: events fire by
+// ascending (when, sat, aux, seq).
+type order struct {
 	when Time
 	// sat is the simulated time the event was scheduled. For locally
 	// scheduled events it equals the engine's now at the Schedule/At call;
@@ -105,20 +125,6 @@ type event struct {
 	// run was partitioned.
 	aux uint64
 	seq uint64 // tie-breaker: preserves scheduling order at equal times
-	gen uint64 // incremented on recycle; validates Handles
-
-	// Container linkage: heap index for inNear/inOverflow, intrusive
-	// doubly-linked bucket list plus (level, slot) for inWheel. The free
-	// list reuses next.
-	index       int
-	next, prev  *event
-	level, slot uint8
-	where       uint8
-
-	fn     func(a0, a1 any)
-	a0, a1 any
-
-	eng *Engine
 }
 
 // Handle is a safe, value-type reference to a scheduled event. Because
@@ -191,6 +197,14 @@ type Engine struct {
 	running bool
 	stopped bool
 
+	// mark bounds what has fired, for Due: of the events scheduled
+	// before markSeq was taken, every one ordered before mark has fired
+	// and none after it has; none scheduled since has fired. Inside a
+	// callback mark is the running event's order; after a Run that
+	// reached its limit it is (until, until, 0, seq).
+	mark    order
+	markSeq uint64
+
 	// cur is the wheel cursor: a lower bound on every event reachable via
 	// the near heap or wheel (the overflow heap also takes events behind
 	// it). It can run ahead of now when a bounded Run stops before the
@@ -227,8 +241,9 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // are unlinked eagerly and never counted.
 func (e *Engine) Pending() int { return e.pending }
 
-// alloc hands out a pooled (or fresh) event for time t.
-func (e *Engine) alloc(t Time) *event {
+// alloc hands out a pooled (or fresh) event for time t (clamped to now)
+// with schedule time sat and sequence number seq.
+func (e *Engine) alloc(t, sat Time, seq uint64) *event {
 	if t < e.now {
 		t = e.now
 	}
@@ -239,11 +254,7 @@ func (e *Engine) alloc(t Time) *event {
 	} else {
 		ev = &event{eng: e}
 	}
-	ev.when = t
-	ev.sat = e.now
-	ev.aux = 0
-	ev.seq = e.seq
-	e.seq++
+	ev.order = order{when: t, sat: sat, seq: seq}
 	return ev
 }
 
@@ -400,6 +411,7 @@ func (e *Engine) popMin(limit Time) *event {
 // the reuse thanks to the generation counter.
 func (e *Engine) fire(ev *event) {
 	fn, a0, a1 := ev.fn, ev.a0, ev.a1
+	e.mark, e.markSeq = ev.order, e.seq
 	e.recycle(ev)
 	e.fired++
 	fn(a0, a1)
@@ -423,11 +435,80 @@ func (e *Engine) At(t Time, fn func(a0, a1 any), a0, a1 any) Handle {
 	if fn == nil {
 		panic("sim: At called with nil fn")
 	}
-	ev := e.alloc(t)
+	ev := e.alloc(t, e.now, e.seq)
+	e.seq++
 	ev.fn, ev.a0, ev.a1 = fn, a0, a1
 	e.insert(ev)
 	e.pending++
 	return Handle{ev: ev, gen: ev.gen}
+}
+
+// Key is a reserved place in the fire order: the (schedule time,
+// sequence number) stamp an At call would have received at the moment
+// of the reservation. Scheduling a callback with AtKey, or testing a
+// virtual event with Due, therefore orders exactly as that At call would
+// have — and every other event keeps the stamp it had, because the
+// reservation consumed the same sequence numbers.
+type Key struct {
+	sat Time
+	seq uint64
+}
+
+// Nth returns the i-th key of a block that Reserve(n) returned as k
+// (k.Nth(0) == k).
+func (k Key) Nth(i int) Key { return Key{sat: k.sat, seq: k.seq + uint64(i)} }
+
+// Reserve takes the next n sequence numbers at the current time and
+// returns the first; Nth addresses the rest. The keys are exactly what
+// n At calls made here would have stamped.
+func (e *Engine) Reserve(n int) Key {
+	k := Key{sat: e.now, seq: e.seq}
+	e.seq += uint64(n)
+	return k
+}
+
+// AtKey runs fn(a0, a1) at the absolute time t in the place of the fire
+// order that key k holds. t must not be before the reservation, and the
+// event must not already be due: either would need it to have fired
+// already, so both panic rather than reorder.
+func (e *Engine) AtKey(t Time, k Key, fn func(a0, a1 any), a0, a1 any) Handle {
+	if fn == nil {
+		panic("sim: AtKey called with nil fn")
+	}
+	if t < k.sat || e.Due(t, k) {
+		panic(fmt.Sprintf("sim: AtKey at %v for a key reserved at %v is already due (now %v)", t, k.sat, e.now))
+	}
+	ev := e.alloc(t, k.sat, k.seq)
+	ev.fn, ev.a0, ev.a1 = fn, a0, a1
+	e.insert(ev)
+	e.pending++
+	return Handle{ev: ev, gen: ev.gen}
+}
+
+// Due reports whether an event at t holding key k would already have
+// fired. Inside a callback, that is whether k was reserved before the
+// running event fired and orders before it. After a Run that reached its
+// limit, it is whether t ≤ now and k was reserved before Run returned.
+// After a Run ended by Stop, it is whether k was reserved before the
+// last event fired and orders before it. A component that only needs to
+// know when a time has passed — a link freeing its egress buffer as
+// frames finish serializing — reserves a key instead of scheduling an
+// event, and asks Due when it next looks.
+func (e *Engine) Due(t Time, k Key) bool {
+	if k.seq >= e.markSeq {
+		return false // reserved since the last fire
+	}
+	m := &e.mark
+	if t != m.when {
+		return t < m.when
+	}
+	if k.sat != m.sat {
+		return k.sat < m.sat
+	}
+	if m.aux != 0 {
+		return true // reserved keys carry aux 0
+	}
+	return k.seq < m.seq
 }
 
 // ScheduleArg runs fn(arg) after delay: an adapter over Schedule for
@@ -467,8 +548,15 @@ func (e *Engine) Run(until Time) uint64 {
 		e.fire(ev)
 		fired++
 	}
-	if e.now < until && !e.stopped {
-		e.now = until
+	if !e.stopped {
+		if e.now < until {
+			e.now = until
+		}
+		if e.now == until {
+			// Everything at or before until has fired, including every
+			// key reserved so far; a key reserved from here on is not.
+			e.mark, e.markSeq = order{when: until, sat: until, seq: e.seq}, e.seq
+		}
 	}
 	e.stopped = false
 	return fired
@@ -545,8 +633,8 @@ func (e *Engine) InjectAt(when, sat Time, aux uint64, fn func(a0, a1 any), a0, a
 	if sat > when {
 		panic(fmt.Sprintf("sim: InjectAt sat %v after when %v", sat, when))
 	}
-	ev := e.alloc(when)
-	ev.sat = sat
+	ev := e.alloc(when, sat, e.seq)
+	e.seq++
 	ev.aux = aux
 	ev.fn, ev.a0, ev.a1 = fn, a0, a1
 	e.insert(ev)

@@ -431,3 +431,40 @@ func TestFreeListReuses(t *testing.T) {
 		t.Fatal("a record was handed out twice")
 	}
 }
+
+// TestDueAcrossRunBoundaries pins Due outside callbacks: after a Run
+// ended by Stop, only keys ordered before the last fired event are due;
+// after a Run that reached its limit, every key at or before it is, but
+// not one reserved afterwards at that instant. Arming a due key panics.
+func TestDueAcrossRunBoundaries(t *testing.T) {
+	e := NewEngine()
+	before := e.Reserve(1)
+	e.At(10, func(_, _ any) { e.Stop() }, nil, nil)
+	after := e.Reserve(1)
+	e.Run(100)
+	if e.Now() != 10 {
+		t.Fatalf("stopped at %v, want 10", e.Now())
+	}
+	if !e.Due(10, before) || e.Due(10, after) || !e.Due(9, after) {
+		t.Fatalf("after Stop: Due(10, before)=%v Due(10, after)=%v Due(9, after)=%v, want true false true",
+			e.Due(10, before), e.Due(10, after), e.Due(9, after))
+	}
+	e.Run(100)
+	late := e.Reserve(1)
+	if !e.Due(100, after) || e.Due(100, late) || e.Due(101, after) {
+		t.Fatalf("after Run(100): Due(100, after)=%v Due(100, late)=%v Due(101, after)=%v, want true false false",
+			e.Due(100, after), e.Due(100, late), e.Due(101, after))
+	}
+	fired := false
+	e.AtKey(100, late, func(_, _ any) { fired = true }, nil, nil)
+	e.Run(100)
+	if !fired {
+		t.Fatal("AtKey event at now did not fire in the next Run")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtKey on a due key did not panic")
+		}
+	}()
+	e.AtKey(100, after, nop, nil, nil)
+}

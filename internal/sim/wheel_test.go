@@ -18,8 +18,12 @@ type refEntry struct {
 // TestWheelMatchesReferenceModel is the wheel's correctness property:
 // under random interleavings of scheduling (Schedule, At and the
 // ScheduleArg adapter, delays spanning the near heap, every wheel level,
-// and the overflow heap) and cancellation, events fire in exactly the
-// (when, schedule-order) sequence a naive sorted list predicts.
+// and the overflow heap), key reservation and cancellation, events fire
+// in exactly the (when, schedule-order) sequence a naive sorted list
+// predicts. A reserved key holds its schedule-order place: AtKey events
+// scheduled later fire there, and Due on a key never scheduled reports,
+// inside every recorded callback, whether the reference orders it before
+// the running event.
 func TestWheelMatchesReferenceModel(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := NewRand(seed, "wheel-prop")
@@ -43,6 +47,37 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 		var lives []live
 		dead := map[int]bool{}
 
+		// Reserved keys not yet scheduled: virtual events until AtKey
+		// arms them.
+		type reservation struct {
+			r refEntry
+			k Key
+		}
+		var reserved []reservation
+		byID := map[int]refEntry{}
+		dropRef := func(id int) {
+			for j, r := range ref {
+				if r.id == id {
+					ref = append(ref[:j], ref[j+1:]...)
+					return
+				}
+			}
+		}
+		var record func(a0, _ any)
+		record = func(a0, _ any) {
+			id := a0.(int)
+			got = append(got, fired{id, e.Now()})
+			dead[id] = true
+			cur := byID[id]
+			for _, v := range reserved {
+				want := v.r.when < cur.when || v.r.when == cur.when && v.r.ord < cur.ord
+				if e.Due(v.r.when, v.k) != want {
+					t.Errorf("seed %d: inside event %d, Due(reserved %d) = %v, reference %v",
+						seed, id, v.r.id, !want, want)
+				}
+			}
+		}
+
 		const ops = 300
 		var step func()
 		remaining := ops
@@ -51,6 +86,20 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 				return
 			}
 			remaining--
+			// Arm or retire reserved keys: one still ahead may be armed
+			// with AtKey; one already due can never fire.
+			kept := reserved[:0]
+			for _, v := range reserved {
+				switch {
+				case e.Due(v.r.when, v.k):
+					dropRef(v.r.id)
+				case rng.Bool(0.5):
+					lives = append(lives, live{v.r.id, e.AtKey(v.r.when, v.k, record, v.r.id, nil)})
+				default:
+					kept = append(kept, v)
+				}
+			}
+			reserved = kept
 			switch {
 			case len(lives) > 0 && rng.Bool(0.25):
 				// Cancel a random event (possibly one that already fired).
@@ -64,14 +113,22 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 					}
 					break
 				}
-				for j, r := range ref {
-					if r.id == v.id {
-						ref = append(ref[:j], ref[j+1:]...)
-						break
-					}
-				}
+				dropRef(v.id)
 				if !v.h.Cancel() {
 					t.Errorf("seed %d: Cancel failed for pending event %d", seed, v.id)
+				}
+			case rng.Bool(0.2):
+				// Reserve a block of keys for events at random times,
+				// armed (or not) on later steps.
+				n := 1 + rng.Intn(3)
+				k := e.Reserve(n)
+				for i := 0; i < n; i++ {
+					d := Duration(rng.Uint64() & ((1 << uint(rng.Intn(46))) - 1))
+					r := refEntry{when: e.Now() + Time(d), ord: ord, id: ord}
+					ref = append(ref, r)
+					byID[r.id] = r
+					reserved = append(reserved, reservation{r, k.Nth(i)})
+					ord++
 				}
 			default:
 				// Schedule with a delay spanning 0ns to ~2^45ns so the near
@@ -79,12 +136,10 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 				// traffic.
 				d := Duration(rng.Uint64() & ((1 << uint(rng.Intn(46))) - 1))
 				id := ord
-				ref = append(ref, refEntry{when: e.Now() + Time(d), ord: ord, id: id})
+				r := refEntry{when: e.Now() + Time(d), ord: ord, id: id}
+				ref = append(ref, r)
+				byID[id] = r
 				ord++
-				record := func(a0, _ any) {
-					got = append(got, fired{a0.(int), e.Now()})
-					dead[a0.(int)] = true
-				}
 				var h Handle
 				switch rng.Intn(3) {
 				case 0:
@@ -101,6 +156,13 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 		}
 		e.Schedule(0, Call, step, nil)
 		e.Run(maxTime - 1)
+		// Keys never armed stay virtual; after the run every one is due.
+		for _, v := range reserved {
+			if !e.Due(v.r.when, v.k) {
+				t.Errorf("seed %d: reserved %d at %v not due after the run", seed, v.r.id, v.r.when)
+			}
+			dropRef(v.r.id)
+		}
 
 		sort.SliceStable(ref, func(i, j int) bool {
 			if ref[i].when != ref[j].when {
